@@ -22,10 +22,9 @@ from repro.constants import (
     FDM_TONE_LOW_HZ,
 )
 from repro.data.bits import bits_to_symbols, symbols_to_bits
-from repro.dsp.goertzel import goertzel_power_many
+from repro.dsp.goertzel import goertzel_power_blocks, symbol_blocks
 from repro.dsp.windows import raised_cosine_edges
-from repro.errors import ConfigurationError, DemodulationError
-from repro.utils.validation import ensure_real
+from repro.errors import ConfigurationError
 
 BITS_PER_GROUP = 2
 BITS_PER_SYMBOL = FDM_NUM_GROUPS * BITS_PER_GROUP
@@ -115,28 +114,14 @@ class FdmFskModem:
         return waveform
 
     def demodulate(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
-        """Per-group non-coherent 4-FSK detection."""
-        audio = ensure_real(audio, "audio")
+        """Per-group non-coherent 4-FSK detection of every symbol at once."""
         if n_bits % BITS_PER_SYMBOL != 0:
             raise ConfigurationError(
                 f"n_bits must be a multiple of {BITS_PER_SYMBOL}"
             )
-        n_symbols = n_bits // BITS_PER_SYMBOL
-        sps = self.samples_per_symbol
-        if audio.size < n_symbols * sps:
-            raise DemodulationError(
-                f"audio has {audio.size} samples, need {n_symbols * sps}"
-            )
-        symbols = np.empty(n_symbols, dtype=int)
-        for i in range(n_symbols):
-            block = audio[i * sps : (i + 1) * sps]
-            symbol = 0
-            for group in range(FDM_NUM_GROUPS):
-                powers = goertzel_power_many(
-                    block, self.group_tones_hz(group), self.sample_rate
-                )
-                idx = int(np.argmax(powers))
-                shift = BITS_PER_GROUP * (FDM_NUM_GROUPS - 1 - group)
-                symbol |= idx << shift
-            symbols[i] = symbol
-        return symbols_to_bits(symbols, BITS_PER_SYMBOL)[:n_bits]
+        blocks = symbol_blocks(audio, n_bits // BITS_PER_SYMBOL, self.samples_per_symbol)
+        powers = goertzel_power_blocks(blocks, self.tones_hz, self.sample_rate)
+        # Rows are (symbol, group) in order and each group's strongest tone
+        # is its two bits MSB-first, so the decided tones are the bits.
+        tones = np.argmax(powers.reshape(-1, 1 << BITS_PER_GROUP), axis=1)
+        return symbols_to_bits(tones, BITS_PER_GROUP)

@@ -10,7 +10,7 @@ estimation and making the design resilient to channel changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -19,10 +19,9 @@ from repro.constants import (
     FSK_LOW_RATE_FREQS_HZ,
     FSK_LOW_RATE_SYMBOL_RATE,
 )
-from repro.dsp.goertzel import goertzel_power_many
+from repro.dsp.goertzel import goertzel_power_blocks, symbol_blocks
 from repro.dsp.windows import raised_cosine_edges
-from repro.errors import ConfigurationError, DemodulationError
-from repro.utils.validation import ensure_real
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -97,39 +96,22 @@ class BinaryFskModem:
         return waveform
 
     def demodulate(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
-        """Non-coherent detection: larger Goertzel power wins.
+        """Non-coherent detection: larger tone power wins.
 
         Args:
             audio: received audio, symbol-aligned at sample 0.
             n_bits: number of bits to detect.
 
         Raises:
+            ConfigurationError: if ``n_bits < 1``.
+            SignalError: if the audio is non-finite over those symbols.
             DemodulationError: if the audio is shorter than ``n_bits``
                 symbols.
         """
-        audio = ensure_real(audio, "audio")
-        sps = self.samples_per_symbol
-        if audio.size < n_bits * sps:
-            raise DemodulationError(
-                f"audio has {audio.size} samples, need {n_bits * sps}"
-            )
-        bits = np.empty(n_bits, dtype=int)
-        freqs = (self.freq_zero_hz, self.freq_one_hz)
-        for i in range(n_bits):
-            block = audio[i * sps : (i + 1) * sps]
-            powers = goertzel_power_many(block, freqs, self.sample_rate)
-            bits[i] = int(np.argmax(powers))
-        return bits
+        return np.argmax(self.soft_powers(audio, n_bits), axis=1)
 
     def soft_powers(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
         """Per-symbol (P_zero, P_one) tone powers, for MRC-style combining."""
-        audio = ensure_real(audio, "audio")
-        sps = self.samples_per_symbol
-        if audio.size < n_bits * sps:
-            raise DemodulationError("audio shorter than requested symbols")
-        out = np.empty((n_bits, 2))
+        blocks = symbol_blocks(audio, n_bits, self.samples_per_symbol)
         freqs = (self.freq_zero_hz, self.freq_one_hz)
-        for i in range(n_bits):
-            block = audio[i * sps : (i + 1) * sps]
-            out[i] = goertzel_power_many(block, freqs, self.sample_rate)
-        return out
+        return goertzel_power_blocks(blocks, freqs, self.sample_rate)

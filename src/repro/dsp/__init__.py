@@ -13,7 +13,7 @@ from repro.dsp.filters import (
 )
 from repro.dsp.biquad import Biquad, deemphasis_filter, preemphasis_filter
 from repro.dsp.resample import resample_by_ratio, resample_poly_exact
-from repro.dsp.goertzel import goertzel_power, goertzel_power_many
+from repro.dsp.goertzel import goertzel_power, goertzel_power_blocks, goertzel_power_many
 from repro.dsp.spectrum import band_power, power_spectrum, tone_snr_db
 from repro.dsp.phase import frequency_to_phase, phase_to_frequency
 from repro.dsp.pll import PhaseLockedLoop, PLLBatchResult, PLLResult
@@ -33,6 +33,7 @@ __all__ = [
     "filter_signal",
     "frequency_to_phase",
     "goertzel_power",
+    "goertzel_power_blocks",
     "goertzel_power_many",
     "hann_window",
     "highpass_fir",
