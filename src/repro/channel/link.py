@@ -27,7 +27,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from repro.channel.antenna import Antenna, DIPOLE_POSTER, HEADPHONE_WIRE
-from repro.channel.noise import complex_awgn
+from repro.channel.noise import complex_awgn, complex_noise
 from repro.channel.pathloss import free_space_path_loss_db
 from repro.errors import LinkBudgetError
 from repro.utils.env import fast_numerics
@@ -228,12 +228,12 @@ def transmit_batch(
     themselves still come from each point's own pre-derived generator —
     two ``standard_normal`` calls per point, in the exact order of
     :func:`repro.channel.noise.complex_awgn`, filled into one
-    preallocated ``(rows, 2, samples)`` scratch (no per-row Python
-    arithmetic or temporaries) — so each output row is bit-identical to
-    the serial link. Under ``REPRO_NUMERICS=fast`` the per-row draws are
-    replaced by one batched ``standard_normal`` from the first row's
-    generator (statistically identical, not bit-identical — gated by the
-    tolerance-tier goldens instead).
+    preallocated ``(rows, 2, samples)`` scratch by the same
+    :func:`repro.channel.noise.complex_noise` — so each output row is
+    bit-identical to the serial link. Under ``REPRO_NUMERICS=fast`` the
+    per-row draws are replaced by one batched ``standard_normal`` from
+    the first row's generator (statistically identical, not
+    bit-identical — gated by the tolerance-tier goldens instead).
 
     Args:
         iq: shared unit-amplitude complex envelope, 1-D.
@@ -307,8 +307,8 @@ def transmit_batch(
         # runs on an SFC64 generator seeded from the first row's stream
         # (the fastest bit generator numpy ships; the per-row generators
         # other than the first stay untouched), lands interleaved and is
-        # viewed as complex — so the combine pass of the exact path
-        # disappears and the noise is scaled and added in place. The
+        # viewed as complex, so the noise is scaled and added in place
+        # with one fill instead of one pair per row. The
         # draws are iid standard normal either way; only the stream
         # consumption (and hence the realization) differs, which is
         # exactly what fast mode trades away and the tolerance-tier
@@ -323,17 +323,9 @@ def transmit_batch(
         out += noise
         return out
 
-    # Per-row draws into one preallocated scratch — each generator's two
-    # standard_normal fills, exactly like complex_awgn — then a single
-    # vectorized scale-and-add over the whole stack.
-    draws = np.empty((n_rows, 2, iq.size))
-    for row, rng in enumerate(rngs):
-        gen = as_generator(rng)
-        gen.standard_normal(out=draws[row, 0])
-        gen.standard_normal(out=draws[row, 1])
-    noise = draws[:, 0] + 1j * draws[:, 1]
-    noise *= np.asarray(scales).reshape(n_rows, 1)
-    out += noise
+    # Each generator's two standard_normal fills, exactly like
+    # complex_awgn, then one add over the stack.
+    out += complex_noise(iq.size, scales, rngs)
     return out
 
 

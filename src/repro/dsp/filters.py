@@ -10,12 +10,21 @@ Designs are memoized through the process-wide DSP plan cache
 at every grid point designs each filter once instead of once per point.
 Cached taps are returned non-writable; derive a fresh array before
 mutating.
+
+:func:`filter_signal` is an FFT convolution that caches the other half
+of the work too: the spectrum of the zero-padded kernel, keyed in the
+same plan cache by the taps' bytes and dtype, the FFT length and
+whether the transform is real. Every grid point of a sweep filters rows
+of one length with the same few designs, so each kernel is transformed
+once per sweep rather than once per call. The transform length and
+operation order are those of ``scipy.signal.fftconvolve``, so outputs
+are byte-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
 
 from repro.dsp.plan_cache import cached_plan
 from repro.dsp.windows import hann_window
@@ -102,9 +111,14 @@ def filter_signal(taps: np.ndarray, signal: np.ndarray) -> np.ndarray:
             exact code path with the serial one.
 
     Returns:
-        Filtered signal, same shape and alignment as the input.
+        Filtered signal, same shape and alignment as the input. Float32
+        and complex64 inputs stay single precision.
     """
-    signal = ensure_signal(signal, "signal")
+    raw = np.asarray(signal)
+    signal = ensure_signal(raw, "signal")
+    if raw.dtype == np.float32:
+        # ensure_signal promotes every real input to float64.
+        signal = raw
     taps = np.asarray(taps, dtype=float)
     if taps.ndim != 1 or taps.size % 2 == 0:
         raise ConfigurationError("taps must be a 1-D odd-length array")
@@ -115,9 +129,28 @@ def filter_signal(taps: np.ndarray, signal: np.ndarray) -> np.ndarray:
         # inputs — everything the exact numerics mode produces — are
         # untouched.
         taps = taps.astype(np.float32)
+    if taps.size == 1:
+        # A length-1 kernel is a plain scale (fftconvolve skips the FFT).
+        return signal * taps
+    n = signal.shape[-1]
     delay = (taps.size - 1) // 2
-    pad = np.zeros(signal.shape[:-1] + (delay,), dtype=signal.dtype)
-    padded = np.concatenate([signal, pad], axis=-1)
-    kernel = taps if signal.ndim == 1 else taps[np.newaxis, :]
-    filtered = sp_signal.fftconvolve(padded, kernel, mode="full", axes=-1)
-    return filtered[..., delay : delay + signal.shape[-1]]
+    real = not np.iscomplexobj(signal)
+    # fftconvolve's length for the delay-padded signal: any other length
+    # rounds differently.
+    nfft = sp_fft.next_fast_len(n + delay + taps.size - 1, real)
+    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
+    # The transform zero-pads to nfft itself, so the delay padding never
+    # needs to exist as an array.
+    spectrum = fft(signal, [nfft], axes=[-1])
+    spectrum *= _kernel_spectrum(taps, nfft, real)
+    filtered = ifft(spectrum, [nfft], axes=[-1], overwrite_x=True)
+    return filtered[..., delay : delay + n]
+
+
+def _kernel_spectrum(taps: np.ndarray, nfft: int, real: bool) -> np.ndarray:
+    """The kernel's ``nfft``-point spectrum, through the DSP plan cache."""
+    fft = sp_fft.rfftn if real else sp_fft.fftn
+    return cached_plan(
+        ("fir_spectrum", taps.tobytes(), taps.dtype.str, nfft, real),
+        lambda: fft(taps, [nfft], axes=[-1]),
+    )

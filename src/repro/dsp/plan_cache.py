@@ -5,7 +5,8 @@ used to re-design the same FIR filters (windowed-sinc synthesis is a few
 hundred numpy ops) and rebuild the same Welch window. Those objects are
 pure functions of their design parameters, so this module gives the DSP
 layer one process-wide plan cache: :mod:`repro.dsp.filters` keys FIR
-designs by (kind, band edges, sample rate, taps) and
+designs by (kind, band edges, sample rate, taps) and FIR kernel spectra
+by (taps bytes, taps dtype, FFT length, real/complex), and
 :mod:`repro.dsp.spectrum` keys Welch windows by segment length.
 
 Cached arrays are returned **non-writable** (and every hit returns the
@@ -15,6 +16,11 @@ instead of silently poisoning every later user of that plan.
 The capacity knob is ``REPRO_DSP_PLAN_CACHE`` (entries; ``0`` disables
 caching entirely); malformed values raise
 :class:`~repro.errors.ConfigurationError` naming the offending string.
+Kernel spectra are large (~3.9 MB for a 1 s row at 480 kHz, ~38 MB for a
+10 s row), so the cache is also bounded by bytes: once the cached plans
+exceed :data:`PLAN_CACHE_MAX_BYTES`, the least recently used ones are
+evicted, and a plan larger than the whole budget is built and returned
+but never kept.
 """
 
 from __future__ import annotations
@@ -35,8 +41,13 @@ DEFAULT_PLAN_CACHE_ENTRIES = 128
 """Default capacity — generous for the library's filter vocabulary (a
 few dozen distinct designs) while bounding memory for exotic sweeps."""
 
+PLAN_CACHE_MAX_BYTES = 64 * 2**20
+"""Byte budget shared by every cached plan. FIR designs and Welch windows
+are kilobytes; the budget exists for kernel spectra, of which a mono
+Fig. 9 sweep keeps ~5 MB and a stereo Fig. 13 sweep ~13 MB."""
+
 _cache: "OrderedDict[Tuple[object, ...], np.ndarray]" = OrderedDict()
-_stats: Dict[str, int] = {"hits": 0, "misses": 0}
+_stats: Dict[str, int] = {"hits": 0, "misses": 0, "bytes": 0}
 _lock = threading.Lock()
 """The cache is process-wide and the thread sweep backend runs points
 concurrently; the lock keeps lookup + LRU reorder + eviction atomic
@@ -59,9 +70,10 @@ def cached_plan(key: Tuple[object, ...], build: Callable[[], np.ndarray]) -> np.
         build: zero-argument builder invoked on a miss.
 
     Returns:
-        The plan array, marked non-writable. With caching disabled the
-        builder's fresh output is returned (still non-writable, so code
-        behaves identically either way).
+        The plan array, marked non-writable. With caching disabled, or a
+        plan larger than :data:`PLAN_CACHE_MAX_BYTES`, the builder's fresh
+        output is returned (still non-writable, so code behaves
+        identically either way).
     """
     capacity = plan_cache_capacity()
     if capacity > 0:
@@ -75,22 +87,27 @@ def cached_plan(key: Tuple[object, ...], build: Callable[[], np.ndarray]) -> np.
         _stats["misses"] += 1
     plan = np.asarray(build())
     plan.setflags(write=False)
-    if capacity > 0:
+    if capacity > 0 and plan.nbytes <= PLAN_CACHE_MAX_BYTES:
         with _lock:
+            raced = _cache.pop(key, None)
+            if raced is not None:
+                _stats["bytes"] -= raced.nbytes
             _cache[key] = plan
-            _cache.move_to_end(key)
-            while len(_cache) > capacity:
-                _cache.popitem(last=False)
+            _stats["bytes"] += plan.nbytes
+            while len(_cache) > capacity or _stats["bytes"] > PLAN_CACHE_MAX_BYTES:
+                _stats["bytes"] -= _cache.popitem(last=False)[1].nbytes
     return plan
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Cache counters: ``hits`` / ``misses`` / ``items`` / ``capacity``."""
+    """Cache counters: ``hits`` / ``misses`` / ``items`` / ``bytes`` (held
+    by cached plans) / ``capacity``."""
     with _lock:
         return {
             "hits": _stats["hits"],
             "misses": _stats["misses"],
             "items": len(_cache),
+            "bytes": _stats["bytes"],
             "capacity": plan_cache_capacity(),
         }
 
@@ -101,3 +118,4 @@ def clear_plan_cache() -> None:
         _cache.clear()
         _stats["hits"] = 0
         _stats["misses"] = 0
+        _stats["bytes"] = 0

@@ -7,7 +7,7 @@ frequency divided by the summed power at all other audio frequencies;
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -61,6 +61,41 @@ def power_spectrum(
     return freqs, psd
 
 
+def band_powers(
+    signal: np.ndarray,
+    sample_rate: float,
+    bands: Sequence[Tuple[float, float]],
+    nperseg: int = 4096,
+) -> List:
+    """Total power of ``signal`` within each ``(low_hz, high_hz)`` band.
+
+    Integrates one Welch PSD over every band, so comparing two bands of
+    one signal estimates its spectrum once. Robust to spectral leakage
+    from strong out-of-band components.
+
+    Returns:
+        One entry per band: a float for 1-D input, or a ``(batch,)``
+        array of per-row band powers for 2-D ``(batch, samples)`` input.
+    """
+    for low_hz, high_hz in bands:
+        if high_hz <= low_hz:
+            raise ConfigurationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
+    freqs, psd = power_spectrum(signal, sample_rate, nperseg)
+    powers = []
+    for low_hz, high_hz in bands:
+        mask = (freqs >= low_hz) & (freqs <= high_hz)
+        if not np.any(mask):
+            raise ConfigurationError(
+                f"band [{low_hz}, {high_hz}] Hz contains no PSD bins at fs={sample_rate}"
+            )
+        df = freqs[1] - freqs[0]
+        if psd.ndim == 1:
+            powers.append(float(np.sum(psd[mask]) * df))
+        else:
+            powers.append(np.sum(psd[..., mask], axis=-1) * df)
+    return powers
+
+
 def band_power(
     signal: np.ndarray,
     sample_rate: float,
@@ -68,27 +103,15 @@ def band_power(
     high_hz: float,
     nperseg: int = 4096,
 ):
-    """Total power of ``signal`` within ``[low_hz, high_hz]``.
-
-    Integrates the Welch PSD over the band, so it is robust to spectral
-    leakage from strong out-of-band components.
+    """Total power of ``signal`` within ``[low_hz, high_hz]``: the
+    one-band case of :func:`band_powers`.
 
     Returns:
         A float for 1-D input; a ``(batch,)`` array of per-row band
         powers for 2-D ``(batch, samples)`` input.
     """
-    if high_hz <= low_hz:
-        raise ConfigurationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
-    freqs, psd = power_spectrum(signal, sample_rate, nperseg)
-    mask = (freqs >= low_hz) & (freqs <= high_hz)
-    if not np.any(mask):
-        raise ConfigurationError(
-            f"band [{low_hz}, {high_hz}] Hz contains no PSD bins at fs={sample_rate}"
-        )
-    df = freqs[1] - freqs[0]
-    if psd.ndim == 1:
-        return float(np.sum(psd[mask]) * df)
-    return np.sum(psd[..., mask], axis=-1) * df
+    (power,) = band_powers(signal, sample_rate, [(low_hz, high_hz)], nperseg)
+    return power
 
 
 def tone_snr_db(
@@ -115,9 +138,9 @@ def tone_snr_db(
     Returns:
         SNR in dB; large and positive when the tone dominates.
     """
-    tone_power = band_power(
-        signal, sample_rate, tone_hz - tone_halfwidth_hz, tone_hz + tone_halfwidth_hz
+    tone_band = (tone_hz - tone_halfwidth_hz, tone_hz + tone_halfwidth_hz)
+    tone_power, total = band_powers(
+        signal, sample_rate, [tone_band, (band_low_hz, band_high_hz)]
     )
-    total = band_power(signal, sample_rate, band_low_hz, band_high_hz)
     noise = max(total - tone_power, 1e-30)
     return float(10.0 * np.log10(max(tone_power, 1e-30) / noise))

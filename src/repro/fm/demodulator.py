@@ -61,9 +61,8 @@ def fm_demodulate(
         increments = np.angle(iq[..., 1:] * np.conj(iq[..., :-1]))
         if increments.shape[-1] == 0:
             return np.zeros(iq.shape[:-1] + (1,))
-        # Single fused scaling written straight into the output (the
-        # exact path's two scaling passes and the concatenate collapse
-        # into one multiply plus a first-sample copy). The dtype follows
+        # Single fused scaling written straight into the output (one
+        # multiply plus a first-sample copy). The dtype follows
         # the input: a complex64 stack from the fast transmit path keeps
         # the MPX in float32 for the receive chain's filters.
         out = np.empty(iq.shape, dtype=increments.dtype)
@@ -72,34 +71,54 @@ def fm_demodulate(
         )
         out[..., 0] = out[..., 1]
         return out
-    else:
-        magnitude = np.abs(iq)
-        if not np.all(np.any(magnitude > 0, axis=-1)):
-            raise SignalError("iq contains no signal (all zeros)")
-        # Quadrature discriminator. Guard against zero samples from hard
-        # channel fades by substituting the previous sample (limiter
-        # behavior). The floor is per waveform, so a batch demodulates
-        # each row exactly as it would alone.
-        floor = 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
-        safe = np.where(magnitude > floor, iq, floor)
-        if safe.ndim == 1:
-            increments = np.angle(safe[1:] * np.conj(safe[:-1]))
-        else:
-            # Per-row evaluation of the exact 1-D expression. A single
-            # 2-D pass over the lag-product views routes through numpy's
-            # buffered iterator, whose chunk boundaries differ from the
-            # 1-D case and perturb the complex multiply by an ULP for
-            # some waveform lengths — per-row contiguous views take the
-            # same code path as the serial demodulate for every length,
-            # keeping the batched backend's bit-identity contract
-            # unconditional. (Each row is still one vectorized C call;
-            # only the cross-row fusion is given up — that is what
-            # REPRO_NUMERICS=fast buys back.)
-            increments = np.empty(safe.shape[:-1] + (safe.shape[-1] - 1,))
-            for row in range(safe.shape[0]):
-                increments[row] = np.angle(safe[row, 1:] * np.conj(safe[row, :-1]))
-    inst_freq = increments * sample_rate / (2.0 * np.pi)
-    if inst_freq.shape[-1] == 0:
+    magnitude = np.abs(iq)
+    if not np.all(np.any(magnitude > 0, axis=-1)):
+        raise SignalError("iq contains no signal (all zeros)")
+    if iq.shape[-1] == 1:
         return np.zeros(iq.shape[:-1] + (1,))
-    inst_freq = np.concatenate([inst_freq[..., :1], inst_freq], axis=-1)
-    return inst_freq / deviation_hz
+    # Guard against zero samples from hard channel fades by substituting
+    # the floor (limiter behavior). The floor is per waveform, so a batch
+    # demodulates each row exactly as it would alone.
+    floor = 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
+    if iq.ndim == 1:
+        out = np.empty(iq.shape, dtype=magnitude.dtype)
+        _discriminate(iq, magnitude, floor, sample_rate, out)
+    else:
+        # One row at a time through the same kernel as the 1-D call. A
+        # single 2-D pass over the lag-product views routes through
+        # numpy's buffered iterator, whose chunk boundaries differ from
+        # the 1-D case and perturb the complex multiply by an ULP for
+        # some waveform lengths — per-row contiguous views take the same
+        # code path as the serial demodulate for every length, keeping
+        # the batched backend's bit-identity contract unconditional.
+        # (Each row is still one vectorized C call; only the cross-row
+        # fusion is given up — that is what REPRO_NUMERICS=fast buys
+        # back.)
+        out = np.empty(iq.shape)
+        for row in range(iq.shape[0]):
+            _discriminate(iq[row], magnitude[row], floor[row], sample_rate, out[row])
+    out /= deviation_hz
+    return out
+
+
+def _discriminate(
+    iq: np.ndarray,
+    magnitude: np.ndarray,
+    floor: np.ndarray,
+    sample_rate: float,
+    out: np.ndarray,
+) -> None:
+    """Instantaneous frequency (Hz) of one waveform, written into ``out``.
+
+    The quadrature discriminator: the angle of ``x[n] * conj(x[n-1])``,
+    scaled by ``sample_rate / 2pi``, first sample duplicated.
+    """
+    safe = iq if magnitude.min() > floor[0] else np.where(magnitude > floor, iq, floor)
+    # The lag product stays a fresh array: a complex multiply into a
+    # preallocated buffer was seen to take a different numpy loop and
+    # change the last bit.
+    lag = safe[1:] * np.conj(safe[:-1])
+    np.arctan2(lag.imag, lag.real, out=out[1:])
+    out[1:] *= sample_rate
+    out[1:] /= 2.0 * np.pi
+    out[0] = out[1]

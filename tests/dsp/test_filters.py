@@ -99,3 +99,17 @@ class TestFilterSignal:
     def test_rejects_even_taps(self):
         with pytest.raises(ConfigurationError):
             filter_signal(np.ones(4), np.ones(10))
+
+    @pytest.mark.parametrize("shape", [(600,), (3, 600)])
+    def test_float32_stays_single_precision(self, shape):
+        taps = design_lowpass_fir(5000, FS, 101)
+        x = np.random.default_rng(1).standard_normal(shape)
+        y32 = filter_signal(taps, x.astype(np.float32))
+        assert y32.dtype == np.float32
+        assert filter_signal(taps, x).dtype == np.float64
+        np.testing.assert_allclose(y32, filter_signal(taps, x), atol=1e-5)
+
+    def test_other_real_dtypes_still_promote_to_float64(self):
+        taps = design_lowpass_fir(5000, FS, 101)
+        assert filter_signal(taps, np.arange(50, dtype=np.int16)).dtype == np.float64
+        assert filter_signal(taps, np.ones(50, dtype=np.float16)).dtype == np.float64
