@@ -523,10 +523,14 @@ def test_numerics_fast(no_persistent_cache, bench_artifact):
             cache = AmbientCache()
             os.environ[NUMERICS_ENV_VAR] = "exact"
             SweepRunner(scenario, rng=SEED, cache=cache, backend="serial").run()
-            timings = {}
-            for mode in ("exact", "fast"):
-                os.environ[NUMERICS_ENV_VAR] = mode
-                _, timings[mode] = _best_of(scenario, cache, "batched", repeats=3)
+            # Modes alternate repeat by repeat, so host drift during the
+            # measurement hits both alike; each mode keeps its best run.
+            timings = {"exact": float("inf"), "fast": float("inf")}
+            for _ in range(3):
+                for mode in timings:
+                    os.environ[NUMERICS_ENV_VAR] = mode
+                    _, elapsed = _best_of(scenario, cache, "batched", repeats=1)
+                    timings[mode] = min(timings[mode], elapsed)
             speedup = round(timings["exact"] / timings["fast"], 3)
             record[name] = {
                 "n_points": scenario.sweep.n_points,

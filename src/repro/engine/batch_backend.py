@@ -7,9 +7,10 @@ This backend exploits that structurally: points are grouped by front-end
 key (program/mode/amplitude + payload + ambient variant), each group's
 envelope is stacked into a ``(points, samples)`` array, and the link
 fading + noise scaling, FM discriminator, audio decode and low-pass run
-as NumPy ops over the stack (:func:`repro.channel.link.transmit_batch` +
-:func:`repro.receiver.fm_receiver.receive_mono_batch` /
-:func:`~repro.receiver.fm_receiver.receive_stereo_batch` internals).
+as NumPy ops over the stack (:func:`repro.channel.link.transmit_batch`,
+then :func:`repro.fm.demodulator.fm_demodulate` and
+:func:`repro.receiver.fm_receiver.decode_rows`, the stages of
+:func:`~repro.receiver.fm_receiver.receive_batch`).
 
 Coverage is total over the runner-transmitted scenario space — no chain
 feature forces a per-point fallback:
@@ -34,9 +35,9 @@ feature forces a per-point fallback:
 Bit-identity with the serial backend holds because (a) every stochastic
 draw still comes from the point's own pre-derived generators, in the
 same order the chain consumes them (station, link incl. fading, then
-receiver), and (b) the vectorized DSP is the *same code path* the 1-D
-calls take — the engine's DSP layer processes 2-D inputs along the last
-axis with row-independent operations.
+receiver), and (b) the receive DSP has one implementation, the stacked
+one, which the serial path runs as a batch of one; every stage works
+along the last axis with row-independent operations.
 
 Scenarios whose ``measure`` performs its own transmissions (Fig. 12's
 two-phone cancellation, the deployment layer's MAC-gated per-device
@@ -63,12 +64,7 @@ from repro.engine.cache import AmbientCache
 from repro.engine.execution import execute_point, make_ambient
 from repro.engine.scenario import GridPoint, PointRun, Scenario
 from repro.fm.demodulator import fm_demodulate
-from repro.receiver.fm_receiver import (
-    decode_mono_rows,
-    decode_stereo_rows,
-    supports_mono_batch,
-    supports_stereo_batch,
-)
+from repro.receiver.fm_receiver import decode_rows
 from repro.utils.env import env_float
 from repro.utils.rand import child_generator
 
@@ -122,10 +118,8 @@ def receiver_partition_signature(receiver) -> tuple:
     per-partition cost estimates line up one-to-one with the partitions
     the executor will actually run.
     """
-    stereo = supports_stereo_batch(receiver)
-    assert stereo or supports_mono_batch(receiver)
     return (
-        type(receiver), stereo, receiver.mpx_rate, receiver.audio_rate,
+        type(receiver), receiver.stereo_capable, receiver.mpx_rate, receiver.audio_rate,
         receiver.deviation_hz, receiver.audio_cutoff_hz,
         receiver.apply_deemphasis,
     )
@@ -284,10 +278,8 @@ def _run_group(
     """Vectorize one shared-front-end group of grid points."""
     # One group can still mix receiver configurations (e.g. a
     # receiver-kind axis downstream of a shared front end); each
-    # homogeneous slice batches separately — mono receivers through the
-    # mono decode, stereo-capable ones (phone stereo decode, the car
-    # radio) through the multi-waveform-PLL stereo decode. Every
-    # receiver batches one way or the other.
+    # homogeneous slice batches separately through one decode_rows call
+    # (mono decode, or the multi-waveform-PLL stereo decode).
     partitions: "Dict[tuple, List[int]]" = {}
     for i in indices:
         partitions.setdefault(receiver_partition_signature(receivers[i]), []).append(i)
@@ -295,8 +287,7 @@ def _run_group(
     limit = chunk_limit(iq.size)
     if max_chunk_rows is not None:
         limit = max(1, min(limit, int(max_chunk_rows)))
-    for sig, members in partitions.items():
-        rx_type, stereo = sig[0], sig[1]
+    for members in partitions.values():
         ref = receivers[members[0]]
         part_receivers = [receivers[i] for i in members]
 
@@ -318,9 +309,8 @@ def _run_group(
                 rx_iq, ref.mpx_rate, ref.deviation_hz
             )
 
-        decode = decode_stereo_rows if stereo else decode_mono_rows
-        raw_rows = decode(part_receivers, mpx, max_fft_rows=limit)
-        received_rows = rx_type.apply_output_effects_batch(part_receivers, raw_rows)
+        raw_rows = decode_rows(part_receivers, mpx, max_fft_rows=limit)
+        received_rows = type(ref).apply_output_effects_batch(part_receivers, raw_rows)
 
         for i, received in zip(members, received_rows):
             # The group key pins the variant, so the group-level

@@ -80,8 +80,10 @@ def fm_demodulate(
     # the floor (limiter behavior). The floor is per waveform, so a batch
     # demodulates each row exactly as it would alone.
     floor = 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
+    # The MPX takes the input's real dtype: float32 rows for a complex64
+    # envelope, whether it comes alone or in a stack.
+    out = np.empty(iq.shape, dtype=magnitude.dtype)
     if iq.ndim == 1:
-        out = np.empty(iq.shape, dtype=magnitude.dtype)
         _discriminate(iq, magnitude, floor, sample_rate, out)
     else:
         # One row at a time through the same kernel as the 1-D call. A
@@ -94,7 +96,6 @@ def fm_demodulate(
         # (Each row is still one vectorized C call; only the cross-row
         # fusion is given up — that is what REPRO_NUMERICS=fast buys
         # back.)
-        out = np.empty(iq.shape)
         for row in range(iq.shape[0]):
             _discriminate(iq[row], magnitude[row], floor[row], sample_rate, out[row])
     out /= deviation_hz

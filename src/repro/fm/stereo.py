@@ -20,7 +20,7 @@ from repro.dsp.filters import bandpass_fir, design_lowpass_fir, filter_signal
 from repro.dsp.pll import PhaseLockedLoop
 from repro.dsp.resample import resample_by_ratio
 from repro.errors import SignalError
-from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB, detect_pilot, pilot_power_ratio_db
+from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB, pilot_power_ratio_db
 from repro.utils.validation import ensure_positive, ensure_real, ensure_real_signal
 
 
@@ -83,8 +83,10 @@ def decode_stereo(
 ) -> StereoAudio:
     """Decode an MPX baseband into left/right audio.
 
+    One waveform decoded as a batch of one by :func:`decode_stereo_batch`.
+
     Args:
-        mpx: demodulated composite baseband.
+        mpx: demodulated composite baseband, 1-D.
         mpx_rate: sample rate of ``mpx``.
         audio_rate: desired output audio rate.
         force_stereo: decode the stereo matrix even without a confident
@@ -95,44 +97,7 @@ def decode_stereo(
         :class:`StereoAudio` with mono fallback when no pilot is present.
     """
     mpx = ensure_real(mpx, "mpx")
-    mpx_rate = ensure_positive(mpx_rate, "mpx_rate")
-    audio_rate = ensure_positive(audio_rate, "audio_rate")
-
-    mono = decode_mono(mpx, mpx_rate, audio_rate)
-
-    has_pilot = detect_pilot(mpx, mpx_rate)
-    if not (has_pilot or force_stereo):
-        return StereoAudio(left=mono, right=mono.copy(), stereo_locked=False, audio_rate=audio_rate)
-
-    # Recover the pilot and regenerate the 38 kHz carrier coherently. The
-    # PLL runs on a 5x-decimated pilot band (the 19 kHz tone is still well
-    # below the decimated Nyquist) and its unwrapped phase is linearly
-    # interpolated back to the MPX rate — the phase of a narrowband tone
-    # is nearly linear over 5 samples, and this cuts the loop's Python
-    # iteration count fivefold.
-    pilot_band = filter_signal(bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025), mpx)
-    decimation = 5
-    decimated_rate = mpx_rate / decimation
-    pll = PhaseLockedLoop(PILOT_FREQ_HZ, decimated_rate, loop_bandwidth_hz=30.0)
-    track = pll.track(pilot_band[::decimation])
-    if not (track.locked or force_stereo):
-        return StereoAudio(left=mono, right=mono.copy(), stereo_locked=False, audio_rate=audio_rate)
-
-    sample_positions = np.arange(mpx.size) / decimation
-    phase_full = np.interp(
-        sample_positions, np.arange(track.phase.size), track.phase
-    )
-    carrier38 = np.cos(2.0 * phase_full)
-    stereo_band = filter_signal(bandpass_fir(23e3, 53e3, mpx_rate, 513), mpx)
-    # Synchronous AM detection; factor 2 undoes the 1/2 from the product.
-    diff_mpx = 2.0 * stereo_band * carrier38
-    diff_mpx = filter_signal(design_lowpass_fir(15e3, mpx_rate, 513), diff_mpx)
-    diff = resample_by_ratio(diff_mpx, mpx_rate, audio_rate)
-
-    n = min(mono.size, diff.size)
-    left = mono[:n] + diff[:n]
-    right = mono[:n] - diff[:n]
-    return StereoAudio(left=left, right=right, stereo_locked=True, audio_rate=audio_rate)
+    return decode_stereo_batch(mpx[np.newaxis], mpx_rate, audio_rate, force_stereo)[0]
 
 
 def row_chunks(n_rows: int, max_rows: Optional[int]) -> List[slice]:
@@ -158,23 +123,27 @@ def decode_stereo_batch(
 ) -> List[StereoAudio]:
     """Decode a stack of MPX basebands into left/right audio in one pass.
 
-    The batched counterpart of :func:`decode_stereo`: pilot detection runs
-    as one vectorized power-ratio computation, the pilot PLL advances all
-    pilot-bearing waveforms together through
+    The one stereo decoder; :func:`decode_stereo` calls it with a batch of
+    one. Pilot detection runs as one vectorized power-ratio computation,
+    the pilot PLL advances all pilot-bearing waveforms together through
     :meth:`~repro.dsp.pll.PhaseLockedLoop.track_batch`, and the 38 kHz
     regeneration, L-R demodulation and audio filtering are 2-D NumPy ops.
-    Every stage either is the same code path the 1-D calls take or is
-    elementwise across waveforms, so row ``i``'s result is bit-identical
-    to ``decode_stereo(mpx[i])`` — including per-row mono fallback when a
-    row's pilot is absent or its loop fails to lock.
+    Every stage is row-independent, so row ``i``'s result does not depend
+    on the other rows — including per-row mono fallback when a row's
+    pilot is absent or its loop fails to lock.
+
+    The pilot is recovered on a 5x-decimated pilot band (the 19 kHz tone
+    is still well below the decimated Nyquist) and its unwrapped phase is
+    linearly interpolated back to the MPX rate: the phase of a narrowband
+    tone is nearly linear over 5 samples, and this cuts the loop's
+    iteration count fivefold.
 
     Args:
         mpx: demodulated composite basebands, shape ``(batch, samples)``.
         mpx_rate: sample rate of each row.
         audio_rate: desired output audio rate.
         force_stereo: decode the stereo matrix on every row regardless of
-            pilot detection and lock (same testing knob as the scalar
-            decoder).
+            pilot detection and lock; the pilot gate is skipped.
         max_fft_rows: cap on how many rows each FFT-heavy stage (mono
             low-pass, pilot/stereo band-passes, Welch pilot gate, the
             L-R filtering) spans per pass, keeping its working set
@@ -220,8 +189,7 @@ def decode_stereo_batch(
         candidates = np.flatnonzero(ratios > PILOT_DETECT_THRESHOLD_DB)
 
     if candidates.size:
-        # Stage 2: multi-waveform pilot recovery — same decimated loop,
-        # same coefficients as the scalar path. The band-pass runs in
+        # Stage 2: multi-waveform pilot recovery. The band-pass runs in
         # memory-capped chunks; only the (5x smaller) decimated pilot
         # band persists, so the PLL advances ALL candidate rows per time
         # step regardless of the FFT chunk size.
@@ -256,6 +224,7 @@ def decode_stereo_batch(
                 )
                 carrier38 = np.cos(2.0 * phase_full)
                 stereo_band = filter_signal(stereo_taps, mpx[rows[chunk]])
+                # Synchronous AM detection; 2 undoes the product's 1/2.
                 diff_mpx = 2.0 * stereo_band * carrier38
                 diff_mpx = filter_signal(diff_taps, diff_mpx)
                 diff_chunk = resample_by_ratio(diff_mpx, mpx_rate, audio_rate)

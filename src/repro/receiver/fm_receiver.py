@@ -10,16 +10,10 @@ import numpy as np
 from repro.constants import AUDIO_RATE_HZ, FM_MAX_DEVIATION_HZ, MPX_RATE_HZ
 from repro.dsp.biquad import deemphasis_filter
 from repro.dsp.filters import design_lowpass_fir, filter_signal
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.fm.demodulator import fm_demodulate
-from repro.fm.stereo import (
-    StereoAudio,
-    decode_mono,
-    decode_stereo,
-    decode_stereo_batch,
-    row_chunks,
-)
-from repro.utils.validation import ensure_positive
+from repro.fm.stereo import decode_mono, decode_stereo_batch, row_chunks
+from repro.utils.validation import ensure_1d, ensure_positive
 
 
 @dataclass
@@ -91,93 +85,41 @@ class FMReceiver:
             audio = deemphasis_filter(self.audio_rate).apply(audio)
         return audio
 
-    def apply_output_effects(self, received: ReceivedAudio) -> ReceivedAudio:
-        """Receiver-specific effects on the decoded audio.
-
-        Subclasses model their recording chain here (smartphone AGC and
-        codec noise, car cabin acoustics). The hook runs after the shared
-        demodulate/decode/post-process DSP, on both the serial path
-        (:meth:`receive`) and the batched one
-        (:func:`receive_mono_batch`), so a receiver's stochastic effects
-        are applied per point with that point's own generator either way.
-        """
-        return received
-
     @classmethod
     def apply_output_effects_batch(
         cls, receivers: Sequence["FMReceiver"], received: Sequence[ReceivedAudio]
     ) -> List[ReceivedAudio]:
-        """Receiver-specific effects over a whole decoded batch at once.
+        """Receiver-specific effects on a decoded batch; none by default.
 
-        The batch counterpart of :meth:`apply_output_effects`: row ``i``
-        of the result must be bit-identical to
-        ``receivers[i].apply_output_effects(received[i])``. This default
-        simply loops — correct for any receiver subclass, which is what
-        lets the batched sweep backend keep *every* receiver on the
-        vectorized path. Subclasses with per-row stochastic effects
-        (smartphone codec noise, the car cabin) override it to keep the
-        random draws per row (each receiver's own generator, left before
-        right) while running the deterministic shaping as stacked array
-        ops over the batch. Under ``REPRO_NUMERICS=fast`` those
-        overrides collapse the per-row draws into one batched
-        ``standard_normal`` per partition — statistically identical, not
-        bit-identical, and gated by the tolerance-tier goldens.
+        Subclasses model their recording chain here (smartphone AGC and
+        codec noise, car cabin acoustics). The hook runs after the shared
+        demodulate/decode/post-process DSP, once per batch, whether the
+        batch is one :meth:`receive` or a sweep partition. Random draws
+        stay per row, left before right, from each receiver's own
+        generator, so a row's effects do not depend on its batch. Under
+        ``REPRO_NUMERICS=fast`` the overrides collapse the per-row draws
+        into one batched ``standard_normal`` per partition: statistically
+        identical, not bit-identical, and gated by the tolerance-tier
+        goldens.
         """
-        return [rx.apply_output_effects(row) for rx, row in zip(receivers, received)]
-
-    def receive_mpx(self, iq: np.ndarray) -> np.ndarray:
-        """Demodulate the complex envelope into the MPX baseband."""
-        return fm_demodulate(iq, self.mpx_rate, self.deviation_hz)
+        return list(received)
 
     def receive(self, iq: np.ndarray) -> ReceivedAudio:
-        """Full receive chain: demodulate, stereo-decode, post-process."""
-        mpx = self.receive_mpx(iq)
-        if self.stereo_capable:
-            decoded: StereoAudio = decode_stereo(mpx, self.mpx_rate, self.audio_rate)
-            left = self._post_process(decoded.left)
-            right = self._post_process(decoded.right)
-            stereo_locked = decoded.stereo_locked
-        else:
-            # Mono fast path: pilot recovery and the stereo matrix are
-            # pure, deterministic DSP whose output a mono receiver
-            # discards, so skipping them changes nothing downstream —
-            # L and R are the identically post-processed mono mix.
-            left = self._post_process(decode_mono(mpx, self.mpx_rate, self.audio_rate))
-            right = left.copy()
-            stereo_locked = False
-        return self.apply_output_effects(
-            ReceivedAudio(
-                left=left,
-                right=right,
-                stereo_locked=stereo_locked,
-                mpx=mpx,
-                audio_rate=self.audio_rate,
-            )
-        )
+        """Full receive chain: demodulate, decode, post-process, effects.
 
+        One envelope received as a batch of one by :func:`receive_batch`.
 
-def supports_mono_batch(receiver: FMReceiver) -> bool:
-    """Whether :func:`receive_mono_batch` can stand in for ``receive``.
-
-    Every mono receiver qualifies — de-emphasis runs as a 2-D IIR pass
-    and receiver-specific output effects batch through
-    :meth:`FMReceiver.apply_output_effects_batch` — so the batched sweep
-    backend never falls back on a receiver's account.
-    """
-    return not receiver.stereo_capable
-
-
-def supports_stereo_batch(receiver: FMReceiver) -> bool:
-    """Whether :func:`receive_stereo_batch` can stand in for ``receive``."""
-    return receiver.stereo_capable
+        Raises:
+            SignalError: if ``iq`` is not a non-empty 1-D complex envelope.
+        """
+        iq = ensure_1d(iq, "iq")
+        if not np.iscomplexobj(iq):
+            raise SignalError("iq must be a complex envelope")
+        return receive_batch([self], iq[np.newaxis])[0]
 
 
 def _require_uniform_batch(
-    receivers: Sequence[FMReceiver],
-    batch: np.ndarray,
-    supports,
-    requirement: str,
-    batch_name: str = "iq_batch",
+    receivers: Sequence[FMReceiver], batch: np.ndarray, batch_name: str
 ) -> None:
     """Shared shape / configuration validation for the batch receive paths."""
     if batch.ndim != 2 or batch.shape[0] != len(receivers):
@@ -189,159 +131,110 @@ def _require_uniform_batch(
         return
     ref = receivers[0]
     for rx in receivers:
-        if not supports(rx):
-            raise ConfigurationError(requirement)
+        if type(rx) is not type(ref):
+            raise ConfigurationError(
+                "all receivers in one batch must be of one type; got "
+                f"{type(ref).__name__} and {type(rx).__name__}"
+            )
         if (
-            rx.mpx_rate != ref.mpx_rate
+            rx.stereo_capable != ref.stereo_capable
+            or rx.mpx_rate != ref.mpx_rate
             or rx.audio_rate != ref.audio_rate
             or rx.deviation_hz != ref.deviation_hz
             or rx.audio_cutoff_hz != ref.audio_cutoff_hz
             or rx.apply_deemphasis != ref.apply_deemphasis
         ):
             raise ConfigurationError(
-                "all receivers in one batch must share mpx/audio rates, "
-                "deviation, audio cutoff and de-emphasis"
+                "all receivers in one batch must share stereo capability, "
+                "mpx/audio rates, deviation, audio cutoff and de-emphasis"
             )
 
 
-def decode_mono_rows(
+def decode_rows(
     receivers: Sequence[FMReceiver],
     mpx_batch: np.ndarray,
     max_fft_rows: Optional[int] = None,
 ) -> List[ReceivedAudio]:
-    """Shared mono decode of a demodulated MPX stack, *without* output effects.
+    """Decode a demodulated MPX stack into audio, *without* output effects.
 
-    The mono decoder and audio low-pass (and, when configured, the
-    de-emphasis IIR) are deterministic and sample-wise independent
-    across waveforms, so they run as NumPy ops over the stack —
-    bit-identical per row to the serial decode because the 2-D code path
-    in the DSP layer is the same code path the 1-D calls take.
+    Stereo-capable receivers run the pilot-gated stereo decode
+    (:func:`~repro.fm.stereo.decode_stereo_batch`): a row whose pilot is
+    missing falls back to mono inside the batch. Mono receivers take the
+    mono decode only: pilot recovery and the stereo matrix are pure,
+    deterministic DSP whose output a mono receiver discards, so L and R
+    are the identically post-processed mono mix. The audio low-pass and,
+    when configured, the de-emphasis IIR run over the stack. Every stage
+    is row-independent, so a row decodes the same in any batch.
     Receiver-specific (stochastic) output effects are *not* applied;
-    callers batch them separately through
-    :meth:`FMReceiver.apply_output_effects_batch`, which lets the sweep
-    backend decode in memory-capped chunks and still vectorize the
-    effects across the whole partition.
+    callers batch them through :meth:`FMReceiver.apply_output_effects_batch`,
+    which lets the sweep backend decode in memory-capped chunks and still
+    vectorize the effects across the whole partition.
 
     Args:
-        receivers: one configured mono receiver per row; all must share
-            the DSP-relevant configuration.
+        receivers: one configured receiver per row; all must share type
+            and the DSP-relevant configuration.
         mpx_batch: demodulated MPX rows, ``(len(receivers), samples)``.
         max_fft_rows: cap on how many rows each FFT-heavy filtering pass
-            spans (``None`` = all rows at once). Purely a working-set
-            knob — results are bit-identical at any value.
+            spans (``None`` = all rows at once). The stereo pilot PLL
+            always advances the full stack of pilot-bearing rows per time
+            step (see :meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`).
+            Purely a working-set knob: results do not change with it.
     """
     receivers = list(receivers)
     mpx_batch = np.asarray(mpx_batch)
-    _require_uniform_batch(
-        receivers,
-        mpx_batch,
-        supports_mono_batch,
-        "decode_mono_rows needs mono receivers "
-        "(stereo-capable receivers batch through the stereo decode)",
-        batch_name="mpx_batch",
-    )
+    _require_uniform_batch(receivers, mpx_batch, "mpx_batch")
     if not receivers:
         return []
     ref = receivers[0]
-
-    results: List[ReceivedAudio] = []
-    for rows in row_chunks(len(receivers), max_fft_rows):
-        audio_batch = decode_mono(mpx_batch[rows], ref.mpx_rate, ref.audio_rate)
-        audio_batch = ref._post_process(audio_batch)
-        for rx, audio_row, mpx_row in zip(
-            receivers[rows], audio_batch, mpx_batch[rows]
-        ):
-            left = np.ascontiguousarray(audio_row)
-            results.append(
-                ReceivedAudio(
-                    left=left,
-                    right=left.copy(),
-                    stereo_locked=False,
-                    mpx=np.ascontiguousarray(mpx_row),
-                    audio_rate=rx.audio_rate,
-                )
-            )
-    return results
-
-
-def decode_stereo_rows(
-    receivers: Sequence[FMReceiver],
-    mpx_batch: np.ndarray,
-    max_fft_rows: Optional[int] = None,
-) -> List[ReceivedAudio]:
-    """Shared stereo decode of a demodulated MPX stack, *without* output effects.
-
-    The stereo counterpart of :func:`decode_mono_rows`: the pilot-gated
-    stereo decode (:func:`~repro.fm.stereo.decode_stereo_batch`) and the
-    audio post-filter run over the stack, with per-row pilot detection
-    and lock decisions preserved — a row whose pilot is missing falls
-    back to mono *inside* the batch, exactly as the serial receive
-    would. ``max_fft_rows`` caps only the FFT-heavy filtering passes;
-    the pilot PLL always advances the *full* stack of pilot-bearing
-    rows per time step, so its vectorization width is independent of the
-    memory-capped chunking (see
-    :meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`).
-    """
-    receivers = list(receivers)
-    mpx_batch = np.asarray(mpx_batch)
-    _require_uniform_batch(
-        receivers,
-        mpx_batch,
-        supports_stereo_batch,
-        "decode_stereo_rows needs stereo-capable receivers "
-        "(mono receivers batch through the mono decode)",
-        batch_name="mpx_batch",
-    )
-    if not receivers:
-        return []
-    ref = receivers[0]
-
-    decoded = decode_stereo_batch(
-        mpx_batch, ref.mpx_rate, ref.audio_rate, max_fft_rows=max_fft_rows
-    )
-    # All rows share one MPX length, so the decoder's outputs stack; the
-    # serial receive post-processes left then right, and both are
-    # deterministic filters, so batching each channel separately keeps
-    # every row bit-identical. These run at the audio rate (a tenth of
-    # the MPX working set), so they span the full stack.
-    left_batch = ref._post_process(np.stack([audio.left for audio in decoded]))
-    right_batch = ref._post_process(np.stack([audio.right for audio in decoded]))
-
-    results: List[ReceivedAudio] = []
-    for rx, audio, left_row, right_row, mpx_row in zip(
-        receivers, decoded, left_batch, right_batch, mpx_batch
-    ):
-        results.append(
-            ReceivedAudio(
-                left=np.ascontiguousarray(left_row),
-                right=np.ascontiguousarray(right_row),
-                stereo_locked=audio.stereo_locked,
-                mpx=np.ascontiguousarray(mpx_row),
-                audio_rate=rx.audio_rate,
-            )
+    if ref.stereo_capable:
+        decoded = decode_stereo_batch(
+            mpx_batch, ref.mpx_rate, ref.audio_rate, max_fft_rows=max_fft_rows
         )
-    return results
+        # Audio-rate rows (a tenth of the MPX working set): the post
+        # filters span the full stack, one channel at a time.
+        left = ref._post_process(np.stack([audio.left for audio in decoded]))
+        right = ref._post_process(np.stack([audio.right for audio in decoded]))
+        locked = [audio.stereo_locked for audio in decoded]
+    else:
+        left = np.concatenate(
+            [
+                ref._post_process(decode_mono(mpx_batch[rows], ref.mpx_rate, ref.audio_rate))
+                for rows in row_chunks(len(receivers), max_fft_rows)
+            ]
+        )
+        right = left.copy()
+        locked = [False] * len(receivers)
+    return [
+        ReceivedAudio(
+            left=left[i],
+            right=right[i],
+            stereo_locked=locked[i],
+            mpx=mpx_batch[i],
+            audio_rate=ref.audio_rate,
+        )
+        for i in range(len(receivers))
+    ]
 
 
-def receive_mono_batch(
+def receive_batch(
     receivers: Sequence[FMReceiver],
     iq_batch: np.ndarray,
     max_fft_rows: Optional[int] = None,
 ) -> List[ReceivedAudio]:
-    """Receive many envelopes through the shared mono DSP in one pass.
+    """Receive many envelopes through the shared DSP in one pass.
 
-    Demodulation and the mono decode run as stacked NumPy ops
-    (:func:`decode_mono_rows`), then receiver-specific stochastic
+    The one receive implementation; :meth:`FMReceiver.receive` calls it
+    with a batch of one. Demodulation and the decode run as stacked
+    NumPy ops (:func:`decode_rows`), then receiver-specific stochastic
     effects (codec noise, cabin noise) batch through
-    :meth:`FMReceiver.apply_output_effects_batch` — random draws per row
+    :meth:`FMReceiver.apply_output_effects_batch`: random draws per row
     with each receiver's own generator, deterministic shaping
-    vectorized. Every row is bit-identical to
-    ``receivers[i].receive(iq_batch[i])``.
+    vectorized. Row ``i`` equals ``receivers[i].receive(iq_batch[i])``.
 
     Args:
-        receivers: one configured mono receiver per row; all must share
-            the DSP-relevant configuration (rates, cutoff, deviation,
-            de-emphasis).
+        receivers: one configured receiver per row; all must share type,
+            stereo capability and the DSP-relevant configuration (rates,
+            cutoff, deviation, de-emphasis).
         iq_batch: complex envelopes, shape ``(len(receivers), samples)``.
         max_fft_rows: optional cap on the rows per FFT filtering pass.
 
@@ -350,61 +243,10 @@ def receive_mono_batch(
     """
     receivers = list(receivers)
     iq_batch = np.asarray(iq_batch)
-    _require_uniform_batch(
-        receivers,
-        iq_batch,
-        supports_mono_batch,
-        "receive_mono_batch needs mono receivers "
-        "(stereo-capable receivers batch through receive_stereo_batch)",
-    )
+    _require_uniform_batch(receivers, iq_batch, "iq_batch")
     if not receivers:
         return []
     ref = receivers[0]
     mpx_batch = fm_demodulate(iq_batch, ref.mpx_rate, ref.deviation_hz)
-    rows = decode_mono_rows(receivers, mpx_batch, max_fft_rows)
-    return type(ref).apply_output_effects_batch(receivers, rows)
-
-
-def receive_stereo_batch(
-    receivers: Sequence[FMReceiver],
-    iq_batch: np.ndarray,
-    max_fft_rows: Optional[int] = None,
-) -> List[ReceivedAudio]:
-    """Receive many envelopes through the shared stereo DSP in one pass.
-
-    The stereo counterpart of :func:`receive_mono_batch`: demodulation,
-    the pilot-gated stereo decode (whose pilot PLL advances every
-    waveform's state vector per time step) and the audio post-filter run
-    over the full ``(points, samples)`` stack
-    (:func:`decode_stereo_rows`), then receiver-specific stochastic
-    effects batch through
-    :meth:`FMReceiver.apply_output_effects_batch` — left before right,
-    each receiver's own generator — so every row is bit-identical to the
-    serial receive.
-
-    Args:
-        receivers: one configured stereo-capable receiver per row; all
-            must share the DSP-relevant configuration (rates, cutoff,
-            deviation, de-emphasis).
-        iq_batch: complex envelopes, shape ``(len(receivers), samples)``.
-        max_fft_rows: optional cap on the rows per FFT filtering pass
-            (the pilot PLL always spans the full stack).
-
-    Returns:
-        One :class:`ReceivedAudio` per row, in order.
-    """
-    receivers = list(receivers)
-    iq_batch = np.asarray(iq_batch)
-    _require_uniform_batch(
-        receivers,
-        iq_batch,
-        supports_stereo_batch,
-        "receive_stereo_batch needs stereo-capable receivers "
-        "(mono receivers batch through receive_mono_batch)",
-    )
-    if not receivers:
-        return []
-    ref = receivers[0]
-    mpx_batch = fm_demodulate(iq_batch, ref.mpx_rate, ref.deviation_hz)
-    rows = decode_stereo_rows(receivers, mpx_batch, max_fft_rows)
+    rows = decode_rows(receivers, mpx_batch, max_fft_rows)
     return type(ref).apply_output_effects_batch(receivers, rows)

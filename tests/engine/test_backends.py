@@ -130,10 +130,10 @@ class TestBackendEquivalence:
     def test_batched_handles_mixed_receivers_in_one_front_end_group(self):
         # A receiver-kind axis shares one front end across phone and car
         # points; the batched backend must partition the group — the mono
-        # phone half through receive_mono_batch, the car half (whose
-        # radio always runs its stereo decoder) through the
-        # multi-waveform-PLL stereo batch — and stay bit-identical to
-        # serial with zero per-point fallbacks.
+        # phone half through the mono decode, the car half (whose radio
+        # always runs its stereo decoder) through the multi-waveform-PLL
+        # stereo decode — and stay bit-identical to serial with zero
+        # per-point fallbacks.
         payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
             name="mixed",

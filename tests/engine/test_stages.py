@@ -16,7 +16,7 @@ from repro.experiments.common import (
     LinkStage,
     ReceiveStage,
 )
-from repro.receiver.fm_receiver import receive_mono_batch, supports_mono_batch
+from repro.receiver.fm_receiver import receive_batch
 from repro.utils.rand import as_generator, child_generator
 from repro.utils.env import fast_numerics
 
@@ -152,7 +152,7 @@ class TestBatchedReceive:
 
         stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=False)
         batch_receivers = [stage.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
-        batched = receive_mono_batch(batch_receivers, rx_iq)
+        batched = receive_batch(batch_receivers, rx_iq)
 
         serial_receivers = [stage.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
         for row, receiver in enumerate(serial_receivers):
@@ -163,14 +163,18 @@ class TestBatchedReceive:
             assert batched[row].stereo_locked == serial.stereo_locked
 
     def test_stereo_receivers_rejected(self):
-        stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=True)
-        receiver = stage.build_receiver(as_generator(SEED))
-        assert not supports_mono_batch(receiver)
-        with pytest.raises(ConfigurationError):
-            receive_mono_batch([receiver], np.zeros((1, 16), dtype=complex))
+        # A stereo receiver cannot join a batch of mono ones.
+        mono = ReceiveStage(receiver_kind="smartphone", stereo_decode=False)
+        stereo = ReceiveStage(receiver_kind="smartphone", stereo_decode=True)
+        receivers = [
+            mono.build_receiver(as_generator(SEED)),
+            stereo.build_receiver(as_generator(SEED)),
+        ]
+        with pytest.raises(ConfigurationError, match="stereo capability"):
+            receive_batch(receivers, np.zeros((2, 16), dtype=complex))
 
     def test_shape_mismatch_rejected(self):
         stage = ReceiveStage(stereo_decode=False)
         receiver = stage.build_receiver(as_generator(SEED))
         with pytest.raises(ConfigurationError):
-            receive_mono_batch([receiver], np.zeros((2, 16), dtype=complex))
+            receive_batch([receiver], np.zeros((2, 16), dtype=complex))

@@ -6,7 +6,7 @@ import pytest
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.dsp.spectrum import tone_snr_db
-from repro.errors import SignalError
+from repro.errors import ConfigurationError, SignalError
 from repro.fm.mpx import MpxComponents, compose_mpx
 from repro.fm.pilot import detect_pilot, pilot_power_ratio_db
 from repro.fm.stereo import decode_stereo, decode_stereo_batch
@@ -63,6 +63,23 @@ class TestStereoDecode:
         audio = decode_stereo(stereo_mpx())
         assert audio.mono.size == audio.left.size
 
+    def test_forced_decode_of_a_short_mpx_skips_the_pilot_gate(self):
+        # 50 samples at the MPX rate leave the Welch pilot gate no bins
+        # to compare; a forced decode never consults the gate.
+        short = stereo_mpx()[:50]
+        with pytest.raises(ConfigurationError, match="no PSD bins"):
+            decode_stereo(short)
+        audio = decode_stereo(short, force_stereo=True)
+        assert audio.stereo_locked
+        assert audio.left.shape == audio.right.shape == (5,)
+
+    @pytest.mark.parametrize(
+        "mpx", [np.ones((1, 4096)), np.ones(4096) + 0j, np.ones(0)], ids=["2-D", "complex", "empty"]
+    )
+    def test_rejects_anything_but_a_1d_real_mpx(self, mpx):
+        with pytest.raises(SignalError, match="^mpx "):
+            decode_stereo(mpx)
+
 
 def mono_mpx(freq_hz=1000, duration=0.5):
     left = tone(freq_hz, duration, AUDIO_RATE_HZ, amplitude=0.8)
@@ -86,7 +103,9 @@ class TestBatchedPilotDetection:
 class TestStereoDecodeBatch:
     def test_rows_bit_identical_to_scalar_decode(self):
         # A locked stereo row, a mono-fallback row and a second stereo
-        # row with different content — each must decode exactly as alone.
+        # row with different content — each must decode exactly as alone
+        # (a batch of one); the old 1-D decoder is pinned in
+        # tests/receiver/test_receive_oracle.py.
         stack = np.stack([stereo_mpx(), mono_mpx(), stereo_mpx(500, 4000)])
         batch = decode_stereo_batch(stack, MPX_RATE_HZ)
         assert [audio.stereo_locked for audio in batch] == [True, False, True]

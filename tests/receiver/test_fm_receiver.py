@@ -6,16 +6,12 @@ import pytest
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ
 from repro.dsp.spectrum import tone_snr_db
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.fm.mpx import MpxComponents, compose_mpx
 from repro.fm.modulator import fm_modulate
 from repro.receiver.car import CarReceiver
-from repro.receiver.fm_receiver import (
-    FMReceiver,
-    receive_stereo_batch,
-    supports_mono_batch,
-    supports_stereo_batch,
-)
+from repro.engine.batch_backend import receiver_partition_signature
+from repro.receiver.fm_receiver import FMReceiver, receive_batch
 from repro.receiver.smartphone import SmartphoneReceiver
 
 
@@ -62,6 +58,30 @@ class TestReceive:
             received.difference, 0.5 * (received.left - received.right)
         )
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FMReceiver(),
+            lambda: FMReceiver(stereo_capable=False),
+            lambda: SmartphoneReceiver(rng=0),
+            lambda: CarReceiver(rng=0),
+        ],
+        ids=["fm", "fm-mono", "phone", "car"],
+    )
+    @pytest.mark.parametrize(
+        "iq",
+        [
+            np.ones((2, 4800), dtype=complex),
+            np.ones((1, 4800), dtype=complex),
+            np.ones(4800),
+            np.ones(0, dtype=complex),
+        ],
+        ids=["2-D", "one-row 2-D", "real", "empty"],
+    )
+    def test_rejects_anything_but_a_1d_complex_envelope(self, build, iq):
+        with pytest.raises(SignalError, match="^iq "):
+            build().receive(iq)
+
 
 class TestReceiveStereoBatch:
     def test_rows_bit_identical_to_serial_receive(self):
@@ -69,7 +89,7 @@ class TestReceiveStereoBatch:
         # row falls back to mono inside the batch), decoded together.
         iq_batch = np.stack([broadcast_iq(1000, 3000), broadcast_iq(2000)])
         receivers = [FMReceiver(), FMReceiver()]
-        rows = receive_stereo_batch(receivers, iq_batch)
+        rows = receive_batch(receivers, iq_batch)
         assert [r.stereo_locked for r in rows] == [True, False]
         for i in range(2):
             serial = FMReceiver().receive(iq_batch[i])
@@ -87,28 +107,38 @@ class TestReceiveStereoBatch:
             lambda seed: SmartphoneReceiver(rng=seed),
             lambda seed: CarReceiver(rng=seed),
         ):
-            rows = receive_stereo_batch([build(5), build(6)], iq_batch)
+            rows = receive_batch([build(5), build(6)], iq_batch)
             for i, seed in enumerate((5, 6)):
                 serial = build(seed).receive(iq_batch[i])
                 assert np.array_equal(rows[i].left, serial.left), (build, i)
                 assert np.array_equal(rows[i].right, serial.right), (build, i)
 
-    def test_support_predicates(self):
-        assert supports_stereo_batch(FMReceiver())
-        assert not supports_stereo_batch(FMReceiver(stereo_capable=False))
-        # De-emphasis no longer forces a fallback: the biquad runs as a
-        # 2-D pass, so de-emphasizing receivers batch like any other.
-        assert supports_stereo_batch(FMReceiver(apply_deemphasis=True))
-        assert supports_mono_batch(
+    def test_every_receiver_kind_batches(self):
+        # The batched backend partitions on stereo capability alone, and
+        # every receiver kind, de-emphasis included, batches one way or
+        # the other.
+        def stereo_partition(rx):
+            return receiver_partition_signature(rx)[1]
+
+        assert stereo_partition(FMReceiver())
+        assert stereo_partition(FMReceiver(apply_deemphasis=True))
+        assert stereo_partition(CarReceiver())
+        assert not stereo_partition(FMReceiver(stereo_capable=False))
+        assert not stereo_partition(
             FMReceiver(stereo_capable=False, apply_deemphasis=True)
         )
-        assert supports_stereo_batch(CarReceiver())
-        assert supports_mono_batch(FMReceiver(stereo_capable=False))
-        assert not supports_mono_batch(FMReceiver())
+        iq_batch = np.stack([broadcast_iq(1000, 3000, duration=0.1)] * 2)
+        for rx in (
+            FMReceiver(apply_deemphasis=True),
+            FMReceiver(stereo_capable=False, apply_deemphasis=True),
+            CarReceiver(rng=1),
+        ):
+            rows = receive_batch([rx, rx], iq_batch)
+            assert len(rows) == 2 and rows[0].left.size > 0
 
     def test_deemphasis_batch_bit_identical(self):
         iq_batch = np.stack([broadcast_iq(1000, 3000), broadcast_iq(2000)])
-        rows = receive_stereo_batch(
+        rows = receive_batch(
             [FMReceiver(apply_deemphasis=True) for _ in range(2)], iq_batch
         )
         for i in range(2):
@@ -119,21 +149,27 @@ class TestReceiveStereoBatch:
     def test_mixed_deemphasis_rejected(self):
         iq_batch = np.stack([broadcast_iq(1000, 3000)] * 2)
         with pytest.raises(ConfigurationError):
-            receive_stereo_batch(
+            receive_batch(
                 [FMReceiver(), FMReceiver(apply_deemphasis=True)], iq_batch
             )
 
     def test_rejects_mono_receivers(self):
-        iq_batch = np.stack([broadcast_iq(1000)])
-        with pytest.raises(ConfigurationError):
-            receive_stereo_batch([FMReceiver(stereo_capable=False)], iq_batch)
+        # A batch decodes one way: a mono receiver cannot join a stereo one.
+        iq_batch = np.stack([broadcast_iq(1000)] * 2)
+        with pytest.raises(ConfigurationError, match="stereo capability"):
+            receive_batch([FMReceiver(), FMReceiver(stereo_capable=False)], iq_batch)
+
+    def test_rejects_mixed_receiver_types(self):
+        iq_batch = np.stack([broadcast_iq(1000)] * 2)
+        with pytest.raises(ConfigurationError, match="one type"):
+            receive_batch([FMReceiver(), SmartphoneReceiver(rng=0)], iq_batch)
 
     def test_rejects_mixed_configuration(self):
         iq_batch = np.stack([broadcast_iq(1000, 3000)] * 2)
         with pytest.raises(ConfigurationError):
-            receive_stereo_batch(
+            receive_batch(
                 [FMReceiver(), FMReceiver(audio_cutoff_hz=5000.0)], iq_batch
             )
 
     def test_empty_batch(self):
-        assert receive_stereo_batch([], np.empty((0, 1024), dtype=complex)) == []
+        assert receive_batch([], np.empty((0, 1024), dtype=complex)) == []

@@ -2,8 +2,10 @@
 
 ``receive_oracle`` keeps the expressions ``filter_signal``,
 ``complex_awgn``, ``transmit_batch`` and the exact ``fm_demodulate``
-used before they stopped copying and repeating work. Every output here
-must match them byte for byte, dtype and shape included.
+used before they stopped copying and repeating work, and the 1-D stereo
+decode, receive and output effects that the stacked kernels replaced.
+Every output here must match them byte for byte, dtype and shape
+included, for a batch of one and for every row of a wider batch.
 """
 
 import numpy as np
@@ -15,7 +17,15 @@ from repro.channel.link import LinkBudget, transmit_batch
 from repro.channel.noise import complex_awgn
 from repro.dsp.filters import design_lowpass_fir, filter_signal
 from repro.dsp.plan_cache import PLAN_CACHE_ENV_VAR, clear_plan_cache
+from repro.audio.tones import tone
+from repro.constants import AUDIO_RATE_HZ
 from repro.fm.demodulator import fm_demodulate
+from repro.fm.modulator import fm_modulate
+from repro.fm.mpx import MpxComponents, compose_mpx
+from repro.fm.stereo import decode_stereo, decode_stereo_batch
+from repro.receiver.car import CarReceiver
+from repro.receiver.fm_receiver import FMReceiver, ReceivedAudio, receive_batch
+from repro.receiver.smartphone import SmartphoneReceiver
 from repro.utils.env import fast_numerics
 
 DTYPES = [np.float64, np.complex128, np.float32, np.complex64]
@@ -170,3 +180,192 @@ class TestFmDemodulate:
     def test_one_dimensional_complex64_stays_float32(self):
         iq = _waveform(np.random.default_rng(5), (256,), np.complex64)
         assert fm_demodulate(iq).dtype == np.float32
+
+    def test_complex64_stack_rows_match_the_1d_call(self):
+        iq = _waveform(np.random.default_rng(6), (3, 256), np.complex64)
+        stack = fm_demodulate(iq)
+        for row in range(3):
+            assert_same_bytes(stack[row], fm_demodulate(iq[row]))
+
+
+# --- The 1-D receive chain -------------------------------------------------
+
+
+def _program_mpx(rng, n_audio, pilot):
+    """An MPX of random tones: stereo (pilot present) or mono (no pilot)."""
+    def channel():
+        return tone(float(rng.uniform(200.0, 12_000.0)), n_audio / AUDIO_RATE_HZ,
+                    AUDIO_RATE_HZ, amplitude=float(rng.uniform(0.05, 0.9)))
+
+    right = channel() if pilot else None
+    return compose_mpx(MpxComponents(left=channel(), right=right))
+
+
+def _envelopes(seed, rows, n_audio, pilot, channel):
+    """``rows`` received envelopes of one program, each with its own noise.
+
+    ``channel="silent"`` is an unmodulated carrier with no noise: it
+    demodulates to all-zero audio, so the car's cabin path draws nothing.
+    """
+    rng = np.random.default_rng(seed)
+    if channel == "silent":
+        return np.ones((rows, n_audio * 10), dtype=complex)
+    iq = fm_modulate(_program_mpx(rng, n_audio, pilot))
+    return np.stack(
+        [complex_awgn(iq, float(rng.uniform(0.0, 40.0)), seed + 1 + row) for row in range(rows)]
+    )
+
+
+AGC_MODES = ["off", "static", "dynamic"]
+CODEC_NOISE = [None, -60.0, -30.0]
+
+
+def _build(kind, stereo, deemphasis, agc, codec_noise_db, seed):
+    """One receiver; ``agc`` and ``codec_noise_db`` only shape the phone."""
+    if kind == "car":
+        return CarReceiver(rng=seed, cabin_noise_snr_db=float(10 + seed % 40))
+    if kind == "phone":
+        rx = SmartphoneReceiver(
+            agc_enabled=agc != "off",
+            agc_dynamic=agc == "dynamic",
+            codec_noise_db=codec_noise_db,
+            rng=seed,
+        )
+        rx.stereo_capable = stereo
+        rx.apply_deemphasis = deemphasis
+        return rx
+    return FMReceiver(stereo_capable=stereo, apply_deemphasis=deemphasis)
+
+
+def assert_same_reception(ours, reference):
+    for field in ("left", "right", "mpx"):
+        assert_same_bytes(getattr(ours, field), getattr(reference, field))
+    assert ours.stereo_locked == reference.stereo_locked
+    assert ours.audio_rate == reference.audio_rate
+
+
+@pytest.mark.skipif(fast_numerics(), reason="exact receive chain only")
+class TestReceive:
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["fm", "phone", "car"]),
+        stereo=st.booleans(),
+        deemphasis=st.booleans(),
+        agc=st.lists(st.sampled_from(AGC_MODES), min_size=3, max_size=3),
+        codec_noise_db=st.lists(st.sampled_from(CODEC_NOISE), min_size=3, max_size=3),
+        rows=st.sampled_from([1, 3]),
+        n_audio=st.integers(200, 3000),
+        pilot=st.booleans(),
+        channel=st.sampled_from(["noisy", "noisy", "silent"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_the_1d_receive(
+        self, seed, kind, stereo, deemphasis, agc, codec_noise_db, rows, n_audio, pilot, channel
+    ):
+        # Rows of one batch share the DSP configuration but not the
+        # phone's AGC mode or codec noise, nor any generator.
+        if kind == "car":
+            stereo, deemphasis = True, False
+        iq = _envelopes(seed, rows, n_audio, pilot, channel)
+
+        def receivers():
+            return [
+                _build(kind, stereo, deemphasis, agc[i], codec_noise_db[i], seed + i)
+                for i in range(rows)
+            ]
+
+        references = [oracle.receive(rx, iq[i]) for i, rx in enumerate(receivers())]
+        for ours, reference in zip(receive_batch(receivers(), iq), references):
+            assert_same_reception(ours, reference)
+        first = receivers()[0]
+        assert_same_reception(first.receive(iq[0]), references[0])
+
+    def test_a_long_stereo_row_locks_for_phone_and_car(self):
+        iq = _envelopes(7, 1, 24_000, pilot=True, channel="noisy")[0]
+        for kind in ("phone", "car"):
+            ours = _build(kind, True, False, "static", -60.0, 3).receive(iq)
+            reference = oracle.receive(_build(kind, True, False, "static", -60.0, 3), iq)
+            assert ours.stereo_locked
+            assert_same_reception(ours, reference)
+
+
+@pytest.mark.skipif(fast_numerics(), reason="per-row draws are an exact-mode contract")
+class TestOutputEffects:
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["phone", "car"]),
+        agc=st.lists(st.sampled_from(AGC_MODES), min_size=4, max_size=4),
+        codec_noise_db=st.lists(st.sampled_from(CODEC_NOISE), min_size=4, max_size=4),
+        rows=st.integers(1, 4),
+        n=st.integers(1, 2000),
+        silent=st.lists(st.sampled_from(["none", "left", "right", "both"]), min_size=4, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_1d_effects(self, seed, kind, agc, codec_noise_db, rows, n, silent):
+        rng = np.random.default_rng(seed)
+        received = []
+        for i in range(rows):
+            left, right = rng.standard_normal((2, n)) * rng.uniform(1e-3, 2.0)
+            if silent[i] in ("left", "both"):
+                left = np.zeros(n)
+            if silent[i] in ("right", "both"):
+                right = np.zeros(n)
+            received.append(
+                ReceivedAudio(left=left, right=right, stereo_locked=bool(i % 2),
+                              mpx=rng.standard_normal(10 * n), audio_rate=AUDIO_RATE_HZ)
+            )
+
+        def receivers():
+            return [
+                _build(kind, True, False, agc[i], codec_noise_db[i], seed + i)
+                for i in range(rows)
+            ]
+
+        batch = receivers()
+        ours = type(batch[0]).apply_output_effects_batch(batch, received)
+        for i, rx in enumerate(receivers()):
+            assert_same_reception(ours[i], oracle.apply_output_effects(rx, received[i]))
+
+    def test_one_receiver_on_two_rows_draws_in_row_order(self):
+        # The same generator feeding two rows draws row 0's left and
+        # right, then row 1's, as two 1-D calls in a row would.
+        rng = np.random.default_rng(0)
+        received = [
+            ReceivedAudio(left=x[0], right=x[1], stereo_locked=False,
+                          mpx=np.zeros(10), audio_rate=AUDIO_RATE_HZ)
+            for x in rng.standard_normal((2, 2, 500))
+        ]
+        for kind in ("phone", "car"):
+            rx = _build(kind, True, False, "dynamic", -40.0, 9)
+            ours = type(rx).apply_output_effects_batch([rx, rx], received)
+            reference = _build(kind, True, False, "dynamic", -40.0, 9)
+            for row, audio in zip(ours, received):
+                assert_same_reception(row, oracle.apply_output_effects(reference, audio))
+
+
+class TestDecodeStereo:
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.sampled_from([1, 3]),
+        n_audio=st.integers(100, 3000),
+        pilot=st.lists(st.booleans(), min_size=3, max_size=3),
+        noise=st.sampled_from([0.0, 0.01, 0.3]),
+        force_stereo=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_the_1d_decode(self, seed, rows, n_audio, pilot, noise, force_stereo):
+        rng = np.random.default_rng(seed)
+        mpx = np.stack(
+            [
+                _program_mpx(rng, n_audio, pilot[i]) + noise * rng.standard_normal(10 * n_audio)
+                for i in range(rows)
+            ]
+        )
+        batch = decode_stereo_batch(mpx, force_stereo=force_stereo)
+        for i in range(rows):
+            reference = oracle.decode_stereo(mpx[i], force_stereo=force_stereo)
+            for ours in (batch[i], decode_stereo(mpx[i], force_stereo=force_stereo)):
+                assert_same_bytes(ours.left, reference.left)
+                assert_same_bytes(ours.right, reference.right)
+                assert ours.stereo_locked == reference.stereo_locked
+                assert ours.audio_rate == reference.audio_rate
