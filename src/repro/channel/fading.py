@@ -17,9 +17,9 @@ Two usage shapes:
 - :class:`MotionFadingSpec` — a frozen, picklable *declaration* of the
   same fading, resolved per transmission from the link's own generator
   (``build``). Scenarios that put a spec (rather than a live model) in
-  their chain kwargs stay order-independent across sweep backends, which
-  is what lets the batched backend vectorize fading grids with zero
-  per-point fallbacks.
+  their chain kwargs stay order-independent across sweep backends, so
+  the sweep executor draws their envelopes pass by pass and pool
+  backends may split such grids freely.
 
 :func:`stack_envelopes` is the engine-facing batch entry point: it draws
 every model's Gaussian innovations in caller order (preserving each

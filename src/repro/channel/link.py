@@ -267,18 +267,19 @@ def transmit_batch(
     # cheaper float32 transforms. Exact mode keeps complex128 end to
     # end.
     fast = fast_numerics()
-    clean = iq.astype(np.complex64 if fast else complex)
-    out = np.empty((n_rows, iq.size), dtype=np.complex64 if fast else complex)
+    dtype = np.complex64 if fast else complex
+    clean = iq.astype(dtype, copy=False)
     if envelopes is None or all(env is None for env in envelopes):
-        # One shared clean row: the power term is the scalar the serial
-        # link computes, reused for every row.
-        out[:] = clean
+        # One shared clean row, never written: the power term is the
+        # scalar the serial link computes, reused for every row.
+        faded = clean[np.newaxis]
         power: np.ndarray = np.float64(np.mean(np.abs(iq) ** 2))
     else:
+        faded = np.empty((n_rows, iq.size), dtype=dtype)
         for row in range(n_rows):
             env = envelopes[row]
             if env is None:
-                out[row] = clean
+                faded[row] = clean
             else:
                 env = np.asarray(env)
                 if env.shape != (iq.size,):
@@ -286,19 +287,22 @@ def transmit_batch(
                         f"fading envelope for row {row} has shape {env.shape}, "
                         f"expected ({iq.size},)"
                     )
-                np.multiply(clean, env, out=out[row])
+                np.multiply(clean, env, out=faded[row])
         if fast:
             # mean(|z|^2) without the hypot-then-square detour: the real
             # view interleaves re/im, so twice the mean of its squares is
             # the mean squared magnitude (float64 accumulation keeps the
             # power estimate accurate).
             power = 2.0 * np.mean(
-                out.view(np.float32) ** 2, axis=-1, dtype=np.float64
+                faded.view(np.float32) ** 2, axis=-1, dtype=np.float64
             )
         else:
-            power = np.mean(np.abs(out) ** 2, axis=-1)
+            power = np.mean(np.abs(faded) ** 2, axis=-1)
 
-    noise_power = power / (10.0 ** (snr_db / 10.0))
+    # Scalar pow per row, exactly as complex_awgn computes it: numpy's
+    # vectorized power differs from it in the last bit for some SNRs.
+    linear_snr = np.array([10.0 ** (float(snr) / 10.0) for snr in snr_db])
+    noise_power = power / linear_snr
     scales = np.sqrt(noise_power / 2.0)
 
     if fast and n_rows:
@@ -320,13 +324,15 @@ def transmit_batch(
         fill.standard_normal(out=scratch, dtype=np.float32)
         noise = scratch.view(np.complex64)
         noise *= np.asarray(scales, dtype=np.float32).reshape(n_rows, 1)
-        out += noise
-        return out
-
-    # Each generator's two standard_normal fills, exactly like
-    # complex_awgn, then one add over the stack.
-    out += complex_noise(iq.size, scales, rngs)
-    return out
+    else:
+        # Each generator's two standard_normal fills, exactly like
+        # complex_awgn.
+        noise = complex_noise(iq.size, scales, rngs)
+    # The signal is added into the noise buffer (addition commutes, so
+    # the bits are complex_awgn's), which spares a copy of the signal
+    # per row.
+    noise += faded
+    return noise
 
 
 class BackscatterLink:

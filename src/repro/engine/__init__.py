@@ -6,18 +6,20 @@ separates the *what* from the *how*: a :class:`Scenario` declares the
 grid, the per-point RNG derivation, the transmission payload and the
 measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
-boundary; a :class:`SweepRunner` executes it through one of four
-explicit backends (``serial`` / ``thread`` / ``process`` / ``batched``,
-see ``REPRO_SWEEP_BACKEND``) or lets the cost-model planner pick per
-partition (``auto``, the single-worker default — decisions are recorded
-on ``SweepResult.plan``) with a keyed :class:`AmbientCache` so each
-ambient program is synthesized and FM-modulated exactly once per sweep
-instead of once per grid point — and at most once *ever* per
+boundary; a :class:`SweepRunner` executes it through one point executor
+that stacks points sharing a front end into ``(rows, samples)`` passes.
+The backends (``serial`` / ``thread`` / ``process`` / ``batched``, see
+``REPRO_SWEEP_BACKEND``) differ in the row width they ask for and in who
+calls the executor; ``auto``, the single-worker default, lets the
+cost-model planner pick a width or a pool per partition (decisions are
+recorded on ``SweepResult.plan``). A keyed :class:`AmbientCache` means
+each ambient program is synthesized and FM-modulated exactly once per
+sweep instead of once per grid point — and at most once *ever* per
 configuration when ``REPRO_CACHE_DIR`` points the cache at a persistent
 :class:`CacheStore`.
 
-Usage (the spec form — plain data plus a module-level measure, so the
-same scenario runs on every backend including ``process``)::
+Usage (plain data plus a module-level measure, so the same scenario
+runs on every backend including ``process``)::
 
     from repro.engine import AxisRef, Scenario, SweepSpec, SweepRunner
 
@@ -39,10 +41,6 @@ same scenario runs on every backend including ``process``)::
     )
     result = SweepRunner(scenario, rng=2017, backend="batched").run()
     series = result.series(along="distance_ft", power_dbm=-40.0)
-
-The callable style (``chain_params`` / ``rng_keys`` lambdas) still works
-for in-process backends (``serial`` / ``thread`` / ``batched``'s
-fallback); only ``process`` requires the picklable spec form.
 
 Many-device deployments (:mod:`repro.engine.deployment`) build on the
 same machinery: a :class:`DeploymentScenario` (device roster +

@@ -1,68 +1,64 @@
-"""Batched-vectorized sweep execution.
+"""The point executor: the one function that turns grid points into values.
+
+Every backend runs grid points through :func:`run_batched_backend`; they
+differ only in the row width they ask for and in who calls it:
+``serial`` is width 1, ``batched`` the memory-capped width of
+:func:`chunk_limit`, ``auto`` the width the planner chose per partition,
+and the thread pool, the process-pool workers and the launcher's shard
+workers run their points at width 1.
 
 The paper's link-budget grids share one front end: a P×D sweep reuses the
 same cached composite envelope at every point, and only the link (SNR,
 fading, noise) and the receiver's stochastic effects differ per point.
-This backend exploits that structurally: points are grouped by front-end
-key (program/mode/amplitude + payload + ambient variant), each group's
-envelope is stacked into a ``(points, samples)`` array, and the link
-fading + noise scaling, FM discriminator, audio decode and low-pass run
-as NumPy ops over the stack (:func:`repro.channel.link.transmit_batch`,
-then :func:`repro.fm.demodulator.fm_demodulate` and
-:func:`repro.receiver.fm_receiver.decode_rows`, the stages of
-:func:`~repro.receiver.fm_receiver.receive_batch`).
+:func:`partition_points` groups points by front-end key (program/mode/
+amplitude + payload + ambient variant) and receive stage; each partition
+transmits its envelope through a ``(rows, samples)`` stack
+(:func:`repro.channel.link.transmit_batch`), then demodulates
+(:func:`repro.fm.demodulator.fm_demodulate`), decodes
+(:func:`repro.receiver.fm_receiver.decode_rows`) and applies the
+receiver output effects as NumPy ops over the stack, ``rows`` points per
+pass.
 
-Coverage is total over the runner-transmitted scenario space — no chain
-feature forces a per-point fallback:
+- **Mono partitions** run transmit → demodulate → decode → output
+  effects → measure one pass at a time, so width 1 holds one point's
+  signal at a time.
+- **Stereo partitions** (phone stereo *and* the car radio) keep one MPX
+  buffer for the whole partition and decode it through the
+  multi-waveform pilot PLL
+  (:meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`), so the PLL spans
+  the partition whatever the width.
+- **Fading** envelopes of declarative
+  :class:`~repro.channel.fading.MotionFadingSpec` links are drawn per
+  pass from each point's own stream. A *live* model shared across points
+  consumes one stream in grid order, so its envelopes are drawn up
+  front, in grid order, through
+  :func:`repro.channel.fading.stack_envelopes`.
+- **Ambient caching off**: each point builds its own front end from its
+  ``station`` child and is a partition of one.
+- **Measure-driven** scenarios (no declared ``payload``: Fig. 12's
+  two-phone cancellation, the deployment layer, the survey figures) have
+  no runner-performed transmission; their measure is called per point.
 
-- **Fading links** batch: per-point envelopes are pre-drawn *in serial
-  grid order* through :func:`repro.channel.fading.stack_envelopes`
-  (stateful models consume their streams exactly as the serial loop
-  would; declarative :class:`~repro.channel.fading.MotionFadingSpec`
-  links resolve from each point's own pre-derived stream) and applied
-  row-wise inside ``transmit_batch``.
-- **Stereo-capable receivers** (phone stereo *and* the car radio) batch
-  through the multi-waveform pilot PLL
-  (:meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`). The PLL runs on
-  the decimated pilot band of the *whole* partition, so its stack width
-  is independent of the FFT chunking below.
-- **Receiver output effects** (smartphone AGC + codec noise, the car
-  cabin microphone path) and **de-emphasis** batch through
-  :meth:`repro.receiver.fm_receiver.FMReceiver.apply_output_effects_batch`
-  and the 2-D de-emphasis IIR — applied once per partition, random
-  draws still per row from each point's own generator.
-
-Bit-identity with the serial backend holds because (a) every stochastic
-draw still comes from the point's own pre-derived generators, in the
-same order the chain consumes them (station, link incl. fading, then
-receiver), and (b) the receive DSP has one implementation, the stacked
-one, which the serial path runs as a batch of one; every stage works
-along the last axis with row-independent operations.
-
-Scenarios whose ``measure`` performs its own transmissions (Fig. 12's
-two-phone cancellation, the deployment layer's MAC-gated per-device
-frames, the survey figures) declare no ``payload``, so there is no
-runner-performed transmission to vectorize; their points execute through
-the serial :func:`~repro.engine.execution.execute_point` by
-construction. Those are *measure-driven* points, not fallbacks:
-:attr:`repro.engine.results.SweepResult.n_fallbacks` counts only points
-the backend was asked to vectorize (a declared chain + payload) but had
-to run serially — which, with the paths above, is zero across the
-entire scenario space.
+Results do not depend on the width: every stochastic draw comes from the
+point's own pre-derived generators, in the order the chain consumes them
+(station, link incl. fading, then receiver), and every receive stage
+works along the last axis with row-independent operations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.channel.fading import stack_envelopes
 from repro.channel.link import resolve_fading, transmit_batch
 from repro.constants import MPX_RATE_HZ
-from repro.engine.cache import AmbientCache
-from repro.engine.execution import execute_point, make_ambient
-from repro.engine.scenario import GridPoint, PointRun, Scenario
+from repro.engine.cache import AmbientCache, CachedAmbient
+from repro.engine.scenario import GridPoint, PointRun, Scenario, is_live_fading
+from repro.errors import ConfigurationError
 from repro.fm.demodulator import fm_demodulate
 from repro.receiver.fm_receiver import decode_rows
 from repro.utils.env import env_float
@@ -84,6 +80,12 @@ _TRANSMIT_BYTES_PER_SAMPLE = 48
 row (16 B/sample), its two noise-draw scratch rows (16) and the
 demodulated MPX row (8), plus slack for audio tails."""
 
+Rows = Union[None, int, Mapping[int, int]]
+"""Row width of :func:`run_batched_backend`: ``None`` for the memory-capped
+:func:`chunk_limit` width, an int for one width everywhere, or a mapping
+from :attr:`GridPoint.index` to width (a partition takes its first
+member's entry) — how ``auto`` hands each partition the planner's width."""
+
 
 def batch_memory_budget_mb() -> float:
     """The configured chunk budget in MB, strictly parsed."""
@@ -100,9 +102,10 @@ def chunk_limit(n_samples: int, budget_mb: Optional[float] = None) -> int:
     per-row state that persists across passes (decimated pilot bands,
     audio-rate rows), which is what lets the stereo PLL span a whole
     partition regardless of this limit. The planner calls this with the
-    same row length it predicts costs for, so a recorded
-    :class:`~repro.engine.planner.PlanDecision` names the exact chunk
-    rows the batched executor will use.
+    same row length it predicts costs for, and ``auto`` passes each
+    batched decision's rows to the executor, so a recorded
+    :class:`~repro.engine.planner.PlanDecision` names the exact width
+    its partition ran at.
     """
     if budget_mb is None:
         budget_mb = batch_memory_budget_mb()
@@ -110,19 +113,122 @@ def chunk_limit(n_samples: int, budget_mb: Optional[float] = None) -> int:
     return max(1, int(budget_mb * 1e6 / max(bytes_per_point, 1)))
 
 
-def receiver_partition_signature(receiver) -> tuple:
-    """The homogeneity key one vectorized partition shares.
+def make_ambient(
+    scenario: Scenario,
+    point: GridPoint,
+    cache: Optional[AmbientCache],
+    ambient_master: int,
+) -> Optional[CachedAmbient]:
+    """The point's cache-backed ambient source (``None`` when caching is off)."""
+    if cache is None or not scenario.cache_ambient:
+        return None
+    ambient = CachedAmbient(cache, ambient_master)
+    if scenario.ambient_variant is not None:
+        ambient = ambient.with_variant(scenario.variant_for(point))
+    return ambient
 
-    Points whose receivers agree on this tuple decode through one stacked
-    pass (mono or stereo); the planner groups by the same key so its
-    per-partition cost estimates line up one-to-one with the partitions
-    the executor will actually run.
+
+def composite_entry(
+    scenario: Scenario,
+    point: GridPoint,
+    payload: np.ndarray,
+    cache: Optional[AmbientCache],
+    ambient_master: int,
+):
+    """The point's (ambient view, front end, composite cache key) triple.
+
+    One place derives the deterministic key a point's front-end composite
+    lives under, so the process backend's store warm-up and the planner's
+    cache-warmth probes can never disagree about which entry a point will
+    request. Builds only cheap value objects — no synthesis happens here.
     """
-    return (
-        type(receiver), receiver.stereo_capable, receiver.mpx_rate, receiver.audio_rate,
-        receiver.deviation_hz, receiver.audio_cutoff_hz,
-        receiver.apply_deemphasis,
-    )
+    from repro.experiments.common import ExperimentChain
+
+    front_end = ExperimentChain(**scenario.chain_kwargs(point)).front_end()
+    ambient = make_ambient(scenario, point, cache, ambient_master)
+    key = ambient.composite_key(front_end, payload)
+    return ambient, front_end, key
+
+
+@dataclass
+class Partition:
+    """Grid points that run through one stacked pass.
+
+    Attributes:
+        positions: positions into the executed point list, grid order.
+        chains: each member's :class:`~repro.experiments.common.ExperimentChain`
+            (``None`` entries for a measure-driven scenario without one).
+        payload: the shared transmitted waveform (``None`` when
+            measure-driven).
+        stage: the shared :class:`~repro.experiments.common.ReceiveStage`.
+    """
+
+    positions: List[int]
+    chains: List[object]
+    payload: Optional[np.ndarray] = None
+    stage: Optional[object] = None
+
+    @property
+    def stereo(self) -> bool:
+        """Whether the partition decodes through the stereo (PLL) path."""
+        return self.stage is not None and (
+            self.stage.receiver_kind == "car" or self.stage.stereo_decode
+        )
+
+
+def partition_points(
+    scenario: Scenario,
+    data: Mapping[str, object],
+    points: Sequence[GridPoint],
+    cache: Optional[AmbientCache],
+) -> List[Partition]:
+    """Group points into the partitions :func:`run_batched_backend` runs.
+
+    Runner-transmitted points group by shared front end (front-end key,
+    ambient variant, payload) and receive stage; with ambient caching off
+    every point synthesizes its own front end and is a partition of one.
+    A measure-driven scenario is one partition whose points are measured
+    one by one. The planner prices exactly these partitions. Cheap:
+    builds chain value objects, never a waveform or a random stream.
+    """
+    from repro.experiments.common import ExperimentChain
+
+    if scenario.measure_driven:
+        if not points:
+            return []
+        if scenario.payload is not None:
+            raise ConfigurationError(
+                f"scenario {scenario.name!r} declares a payload but no chain "
+                "(set base_chain / chain_axes / chain_value_params)"
+            )
+        chains = [
+            ExperimentChain(**scenario.chain_kwargs(point)) if scenario.uses_chain else None
+            for point in points
+        ]
+        return [Partition(positions=list(range(len(points))), chains=chains)]
+
+    cached = cache is not None and scenario.cache_ambient
+    partitions: Dict[tuple, Partition] = {}
+    for pos, point in enumerate(points):
+        chain = ExperimentChain(**scenario.chain_kwargs(point))
+        payload = scenario.payload_for(point, data)
+        stage = chain.receive_stage()
+        if cached:
+            key = (
+                chain.front_end_key(),
+                scenario.variant_for(point),
+                payload.shape[-1],
+                id(payload),
+                stage,
+            )
+        else:
+            key = (point.index,)
+        part = partitions.get(key)
+        if part is None:
+            part = partitions[key] = Partition([], [], payload, stage)
+        part.positions.append(pos)
+        part.chains.append(chain)
+    return list(partitions.values())
 
 
 def run_batched_backend(
@@ -132,196 +238,182 @@ def run_batched_backend(
     seeds: Sequence[int],
     cache: Optional[AmbientCache],
     ambient_master: int,
-    max_chunk_rows: Optional[int] = None,
-) -> Tuple[List[object], int, int]:
-    """Execute the grid with per-front-end vectorization.
+    rows: Rows = None,
+) -> List[object]:
+    """Execute grid points to their measured values, ``rows`` points per pass.
 
     Args:
-        max_chunk_rows: optional cap on the rows of one vectorized chunk,
-            applied on top of the memory-budget limit. The planner passes
-            its calibrated per-partition chunk budget through here; the
-            cap changes nothing numerically (chunking never does).
+        scenario: the sweep being executed.
+        data: the shared dict from ``scenario.prepare``.
+        points: the grid points to run, in grid order.
+        seeds: each point's pre-derived stream seed.
+        cache: ambient cache for this process (``None`` disables caching).
+        ambient_master: sweep-level ambient seed.
+        rows: the row width (see :data:`Rows`); it changes nothing
+            numerically.
 
     Returns:
-        ``(values, n_batched, n_fallbacks)`` — values in grid order, how
-        many points took the vectorized path, and how many batch-eligible
-        points (scenario declares a chain + payload) had to run serially
-        instead. Points of measure-driven scenarios (no declared payload)
-        execute serially by construction and are not fallbacks.
+        Values in the order of ``points``.
     """
-    from repro.experiments.common import ExperimentChain
-
     values: List[object] = [None] * len(points)
-    fallback: List[int] = []
-    # group key -> list of point indices; insertion order keeps execution
-    # deterministic (not that order matters — streams are pre-derived).
-    groups: "Dict[tuple, List[int]]" = {}
-    chains: Dict[int, ExperimentChain] = {}
-    payloads: Dict[int, np.ndarray] = {}
+    partitions = partition_points(scenario, data, points, cache)
+    if scenario.measure_driven:
+        for part in partitions:
+            for pos, chain in zip(part.positions, part.chains):
+                ambient = make_ambient(scenario, points[pos], cache, ambient_master)
+                if chain is not None:
+                    chain.ambient_source = ambient
+                run = PointRun(
+                    point=points[pos],
+                    rng=np.random.default_rng(seeds[pos]),
+                    data=data,
+                    ambient=ambient,
+                    chain=chain,
+                )
+                values[pos] = scenario.measure(run, **scenario.measure_params)
+        return values
 
-    eligible = not scenario.measure_driven
-    batchable_scenario = (
-        eligible and cache is not None and scenario.cache_ambient
-    )
-    for i, point in enumerate(points):
-        if not batchable_scenario:
-            fallback.append(i)
-            continue
-        chains[i] = ExperimentChain(**scenario.chain_kwargs(point))
-        payloads[i] = scenario.payload_for(point, data)
-        key = (
-            chains[i].front_end_key(),
-            scenario.variant_for(point),
-            payloads[i].shape[-1],
-            id(payloads[i]),
+    ambients = [
+        make_ambient(scenario, points[part.positions[0]], cache, ambient_master)
+        for part in partitions
+    ]
+    iqs: Dict[int, np.ndarray] = {}
+    envelopes = _live_envelopes(partitions, seeds, ambients, iqs)
+    for k, part in enumerate(partitions):
+        iq = iqs.pop(k, None)
+        if iq is None:
+            iq = _front_end_envelope(part, seeds, ambients[k])
+        if rows is None:
+            width = chunk_limit(iq.size)
+        elif isinstance(rows, Mapping):
+            width = rows[points[part.positions[0]].index]
+        else:
+            width = rows
+        _run_partition(
+            scenario, data, points, seeds, part, iq, ambients[k],
+            max(1, int(width)), envelopes, values,
         )
-        groups.setdefault(key, []).append(i)
+    return values
 
-    # Group envelopes first (one cached synthesis per group), because the
-    # fading pre-pass below needs every point's sample count.
-    ambients: Dict[tuple, object] = {}
-    group_iq: Dict[tuple, np.ndarray] = {}
-    for key, indices in groups.items():
-        first = indices[0]
-        ambients[key] = make_ambient(scenario, points[first], cache, ambient_master)
-        group_iq[key] = ambients[key].modulated_composite(
-            chains[first].front_end(), payloads[first]
-        )
-    iq_size: Dict[int, int] = {
-        i: group_iq[key].size for key, indices in groups.items() for i in indices
-    }
 
-    # Per-point stream derivation, in grid order, exactly as the chain
-    # consumes its children: station child (spent on the cached path),
-    # link child (whose own "fade" child resolves a declarative fading
-    # spec), then the receiver's child from the main generator.
-    batchable = sorted(chains)
-    gens: Dict[int, np.random.Generator] = {}
-    link_rngs: Dict[int, np.random.Generator] = {}
-    fadings: Dict[int, object] = {}
-    receivers: Dict[int, object] = {}
-    budgets: Dict[int, object] = {}
-    for i in batchable:
-        gen = np.random.default_rng(seeds[i])
-        child_generator(gen, "station")  # parity with the serial front end
-        link_rngs[i] = child_generator(gen, "link")
-        fading = resolve_fading(chains[i].fading, link_rngs[i])
-        if fading is not None:
-            fadings[i] = fading
-        receivers[i] = chains[i].receive_stage().build_receiver(gen)
-        budgets[i] = chains[i].link_budget()
-        gens[i] = gen
+def _front_end_envelope(
+    part: Partition, seeds: Sequence[int], ambient: Optional[CachedAmbient]
+) -> np.ndarray:
+    """The partition's composite envelope: the shared cached composite, or
+    (caching off) its one point's own synthesis from its station child."""
+    front_end = part.chains[0].front_end()
+    if ambient is not None:
+        return ambient.modulated_composite(front_end, part.payload)
+    from repro.experiments.common import ChainState
 
-    # Fading pre-pass, strictly in grid order: a stateful model shared
-    # across points consumes its stream exactly as the serial loop
-    # would. Runs of consecutive fading points with one sample count
-    # stack into a single vectorized envelope synthesis.
+    station = child_generator(np.random.default_rng(seeds[part.positions[0]]), "station")
+    return front_end.apply(ChainState(payload_audio=part.payload), station).iq
+
+
+def _live_envelopes(
+    partitions: List[Partition],
+    seeds: Sequence[int],
+    ambients: List[Optional[CachedAmbient]],
+    iqs: Dict[int, np.ndarray],
+) -> Dict[int, np.ndarray]:
+    """Envelopes of live fading models, drawn up front in grid order.
+
+    A live model shared across points consumes its stream exactly as a
+    point-by-point loop would only if its draws happen in grid order,
+    whatever the partitioning. Consecutive rows of one length stack into
+    one synthesis. The front ends fetched for their lengths are left in
+    ``iqs`` for the main pass.
+    """
+    live: Dict[int, tuple] = {}
+    for k, part in enumerate(partitions):
+        for pos, chain in zip(part.positions, part.chains):
+            if is_live_fading(chain.fading):
+                if k not in iqs:
+                    iqs[k] = _front_end_envelope(part, seeds, ambients[k])
+                live[pos] = (chain.fading, iqs[k].size)
     envelopes: Dict[int, np.ndarray] = {}
-    run_indices: List[int] = []
-    for i in batchable:
-        if i not in fadings:
-            continue
-        if run_indices and iq_size[run_indices[-1]] != iq_size[i]:
-            _flush_envelope_run(run_indices, fadings, iq_size, envelopes)
-            run_indices = []
-        run_indices.append(i)
-    _flush_envelope_run(run_indices, fadings, iq_size, envelopes)
-
-    for key, indices in groups.items():
-        _run_group(
-            scenario, data, points, group_iq[key], ambients[key],
-            indices, chains, gens, link_rngs, receivers, budgets,
-            envelopes, values, max_chunk_rows,
-        )
-
-    for i in fallback:
-        values[i] = execute_point(
-            scenario, points[i], seeds[i], data, cache, ambient_master
-        )
-    n_batched = len(points) - len(fallback)
-    n_fallbacks = len(fallback) if eligible else 0
-    return values, n_batched, n_fallbacks
+    for size, run in itertools.groupby(sorted(live), key=lambda pos: live[pos][1]):
+        run = list(run)
+        stack = stack_envelopes([live[pos][0] for pos in run], size, MPX_RATE_HZ)
+        envelopes.update(zip(run, stack))
+    return envelopes
 
 
-def _flush_envelope_run(
-    run_indices: List[int],
-    fadings: Dict[int, object],
-    iq_size: Dict[int, int],
-    envelopes: Dict[int, np.ndarray],
-) -> None:
-    """Draw one grid-order run of fading envelopes as a stacked synthesis."""
-    if not run_indices:
-        return
-    stack = stack_envelopes(
-        [fadings[i] for i in run_indices], iq_size[run_indices[0]], MPX_RATE_HZ
-    )
-    for k, i in enumerate(run_indices):
-        envelopes[i] = stack[k]
-
-
-def _run_group(
+def _run_partition(
     scenario: Scenario,
     data: Dict[str, object],
     points: Sequence[GridPoint],
+    seeds: Sequence[int],
+    part: Partition,
     iq: np.ndarray,
-    ambient: object,
-    indices: List[int],
-    chains: Dict[int, object],
-    gens: Dict[int, np.random.Generator],
-    link_rngs: Dict[int, np.random.Generator],
-    receivers: Dict[int, object],
-    budgets: Dict[int, object],
+    ambient: Optional[CachedAmbient],
+    width: int,
     envelopes: Dict[int, np.ndarray],
     values: List[object],
-    max_chunk_rows: Optional[int] = None,
 ) -> None:
-    """Vectorize one shared-front-end group of grid points."""
-    # One group can still mix receiver configurations (e.g. a
-    # receiver-kind axis downstream of a shared front end); each
-    # homogeneous slice batches separately through one decode_rows call
-    # (mono decode, or the multi-waveform-PLL stereo decode).
-    partitions: "Dict[tuple, List[int]]" = {}
-    for i in indices:
-        partitions.setdefault(receiver_partition_signature(receivers[i]), []).append(i)
+    """Run one partition ``width`` points per pass."""
 
-    limit = chunk_limit(iq.size)
-    if max_chunk_rows is not None:
-        limit = max(1, min(limit, int(max_chunk_rows)))
-    for members in partitions.values():
-        ref = receivers[members[0]]
-        part_receivers = [receivers[i] for i in members]
-
-        # Transmit + demodulate in memory-capped chunks. Only the real
-        # MPX rows persist (half the complex envelope's footprint); the
-        # decode below re-chunks its own FFT passes, so holding the
-        # partition's MPX stack is what frees the stereo PLL width from
-        # the chunk size.
-        mpx = np.empty((len(members), iq.size))
-        for start in range(0, len(members), limit):
-            chunk = members[start : start + limit]
-            rx_iq = transmit_batch(
-                iq,
-                [budgets[i] for i in chunk],
-                [link_rngs[i] for i in chunk],
-                envelopes=[envelopes.get(i) for i in chunk],
-            )
-            mpx[start : start + len(chunk)] = fm_demodulate(
-                rx_iq, ref.mpx_rate, ref.deviation_hz
-            )
-
-        raw_rows = decode_rows(part_receivers, mpx, max_fft_rows=limit)
-        received_rows = type(ref).apply_output_effects_batch(part_receivers, raw_rows)
-
-        for i, received in zip(members, received_rows):
-            # The group key pins the variant, so the group-level
-            # ambient is every member point's ambient.
-            chains[i].ambient_source = ambient
+    def measure(members, gens, receivers, mpx) -> None:
+        raw_rows = decode_rows(receivers, mpx, max_fft_rows=width)
+        received_rows = type(receivers[0]).apply_output_effects_batch(receivers, raw_rows)
+        for (pos, chain), gen, received in zip(members, gens, received_rows):
+            chain.ambient_source = ambient
             run = PointRun(
-                point=points[i],
-                rng=gens[i],
+                point=points[pos],
+                rng=gen,
                 data=data,
                 ambient=ambient,
-                chain=chains[i],
+                chain=chain,
                 received=received,
             )
-            values[i] = scenario.measure(run, **scenario.measure_params)
+            values[pos] = scenario.measure(run, **scenario.measure_params)
+
+    members = list(zip(part.positions, part.chains))
+    all_gens: List[np.random.Generator] = []
+    all_receivers: List[object] = []
+    mpx: Optional[np.ndarray] = None  # stereo: the partition-wide buffer
+    for start in range(0, len(members), width):
+        chunk = members[start : start + width]
+        # Per-point streams, in the order the chain consumes them: the
+        # station child (spent on the cached path), the link child
+        # (whose "fade" child resolves a declarative fading spec), then
+        # the receiver's child from the main generator.
+        gens, link_rngs, receivers, rows_env, spec_rows = [], [], [], [], []
+        for row, (pos, chain) in enumerate(chunk):
+            gen = np.random.default_rng(seeds[pos])
+            child_generator(gen, "station")
+            link_rngs.append(child_generator(gen, "link"))
+            fading = resolve_fading(chain.fading, link_rngs[-1])
+            envelope = envelopes.pop(pos, None)  # a live model's, drawn up front
+            if envelope is None and fading is not None:
+                spec_rows.append(row)
+                envelope = fading  # a resolved spec: drawn below, for this pass
+            rows_env.append(envelope)
+            receivers.append(chain.receive_stage().build_receiver(gen))
+            gens.append(gen)
+        if spec_rows:
+            stack = stack_envelopes(
+                [rows_env[row] for row in spec_rows], iq.size, MPX_RATE_HZ
+            )
+            for row, envelope in zip(spec_rows, stack):
+                rows_env[row] = envelope
+        chunk_mpx = fm_demodulate(
+            transmit_batch(
+                iq,
+                [chain.link_budget() for _, chain in chunk],
+                link_rngs,
+                envelopes=rows_env,
+            ),
+            receivers[0].mpx_rate,
+            receivers[0].deviation_hz,
+        )
+        if not part.stereo:
+            measure(chunk, gens, receivers, chunk_mpx)
+            continue
+        if mpx is None:
+            mpx = np.empty((len(members), iq.size), dtype=chunk_mpx.dtype)
+        mpx[start : start + len(chunk)] = chunk_mpx
+        all_gens.extend(gens)
+        all_receivers.extend(receivers)
+    if mpx is not None:
+        measure(members, all_gens, all_receivers, mpx)

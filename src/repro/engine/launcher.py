@@ -67,8 +67,8 @@ from multiprocessing import connection as mp_connection
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.batch_backend import run_batched_backend
 from repro.engine.cache import AmbientCache, stats_delta
-from repro.engine.execution import execute_point
 from repro.engine.faults import active_plan
 from repro.engine.journal import JobJournal
 from repro.engine.results import SweepResult
@@ -324,12 +324,15 @@ def _worker_main(
         started = time.perf_counter()
         stats_before = cache.stats if cache is not None else None
         try:
-            values = [
-                execute_point(
-                    scenario, points[i], seeds[i], data, cache, ambient_master
-                )
-                for i in range(task.start, task.stop)
-            ]
+            values = run_batched_backend(
+                scenario,
+                data,
+                points[task.start : task.stop],
+                seeds[task.start : task.stop],
+                cache,
+                ambient_master,
+                rows=1,
+            )
         except Exception:
             try:
                 result_conn.send(("error", worker_id, task, traceback.format_exc()))
@@ -404,7 +407,8 @@ def launch_sweep(
 
     Args:
         scenario: the declarative sweep; must be in the picklable spec
-            form (validated up front via ``require_picklable``).
+            form and share no live fading model across points (validated
+            up front via ``require_picklable`` / ``require_pool_safe``).
         rng: sweep-level seed or Generator — the same argument a
             :class:`~repro.engine.runner.SweepRunner` takes, producing
             the same streams: the merged result is bit-identical to a
@@ -455,6 +459,7 @@ def launch_sweep(
         raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
     blob = scenario.require_picklable()
+    scenario.require_pool_safe("launcher")
 
     wall_start = time.perf_counter()
     gen = as_generator(rng)
@@ -653,13 +658,15 @@ def launch_sweep(
             if taken[index]:
                 continue
             try:
-                value = execute_point(
+                # One point per call, so a failure names its point.
+                (value,) = run_batched_backend(
                     scenario,
-                    points[index],
-                    seeds[index],
                     data,
+                    points[index : index + 1],
+                    seeds[index : index + 1],
                     parent_cache,
                     ambient_master,
+                    rows=1,
                 )
             except Exception as exc:
                 partial = (

@@ -1,27 +1,25 @@
-"""Cost-model backend planner: per-partition executor + chunk selection.
+"""Cost-model planner: a row width (or a pool) per executor partition.
 
-BENCH_engine.json shows backend choice is *grid-dependent*: the batched
-backend wins ~1.3-1.5x on fading and stereo grids (short rows, wide
-stacks — per-point Python dispatch amortizes across the stack) but loses
-~2x on the warm-cache Fig. 8 grid (long rows narrow the
-``REPRO_BATCH_MAX_MB`` chunker until the vectorized passes are
-memory-bound with nothing left to amortize). Hand-picking
-``REPRO_SWEEP_BACKEND`` per figure is the user's problem today; this
-module makes it the engine's.
+Every backend runs grid points through one executor,
+:func:`~repro.engine.batch_backend.run_batched_backend`, at some row
+width. Which width is fastest is *grid-dependent*: the stacked pass wins
+~1.3-1.5x on fading and stereo grids (short rows, wide stacks — per-point
+Python dispatch amortizes across the stack) but loses ~2x on the
+warm-cache Fig. 8 grid (long rows narrow the ``REPRO_BATCH_MAX_MB``
+chunker until the vectorized passes are memory-bound with nothing left
+to amortize). The ``auto`` backend plans before it executes:
 
-The ``auto`` backend plans before it executes:
-
-1. :func:`extract_features` derives per-partition predictors from the
-   compiled scenario *without synthesizing anything*: stack width,
+1. :func:`extract_features` takes the executor's own partitions
+   (:func:`~repro.engine.batch_backend.partition_points`) and derives
+   each one's predictors *without synthesizing anything*: stack width,
    waveform length in samples (exact — the composite is the payload
-   upsampled to the MPX rate), stereo/fading/receiver mix,
-   measure-driven flags, and ambient-cache warmth probed through
-   :meth:`~repro.engine.cache.AmbientCache.contains` on the same keys
-   :func:`~repro.engine.execution.composite_entry` gives the process
-   backend's store warm-up. Partitions are keyed exactly like the
-   batched executor's (front-end group x receiver signature), so every
-   decision maps one-to-one onto a stack the executor will actually run.
-2. :func:`estimate` prices each partition under every executor with an
+   upsampled to the MPX rate), stereo/fading mix, measure-driven flag,
+   and ambient-cache warmth probed through
+   :meth:`~repro.engine.cache.AmbientCache.contains` on the keys
+   :func:`~repro.engine.batch_backend.composite_entry` gives the process
+   backend's store warm-up.
+2. :func:`estimate` prices each partition at width 1 (``serial``), at
+   the memory-capped width (``batched``) and on the pools with an
    analytic model parameterized by a small set of calibration constants
    (per-point dispatch cost, serial and vectorized per-sample
    throughputs at short/long row anchors, process-pool spawn cost, ...).
@@ -29,21 +27,17 @@ The ``auto`` backend plans before it executes:
    ``repro-calibrate`` (``python -m repro.engine.planner``) re-measures
    them for the host in a few seconds, and ``REPRO_PLANNER_CALIBRATION``
    points the planner at the result.
-3. :func:`plan_sweep` picks the cheapest executor per partition and
-   :func:`plan_and_run` dispatches *heterogeneously* — one grid's
-   short-row partitions can ride the batched stack while its long-row
-   partitions run serially — reusing the same per-point pre-derived
-   seeds every backend uses, so results stay bit-identical in grid
-   order. Every decision (executor, chunk rows, predicted costs, feature
-   vector) is recorded on :attr:`~repro.engine.results.SweepResult.plan`
-   for audit and prediction-error scoring.
+3. :func:`plan_sweep` picks the cheapest option per partition. The runner
+   then runs every serial and batched partition in one executor call,
+   each at its chosen width, and pool partitions on their pools. Every
+   decision (executor, rows, predicted costs, feature vector) is recorded
+   on :attr:`~repro.engine.results.SweepResult.plan` for audit and
+   prediction-error scoring.
 
-Heterogeneous splits are disabled (the whole grid gets the single
-cheapest executor) when any link carries a *live* stateful fading model:
-such models consume their random stream in grid order across points, so
-splitting the grid between executors would reorder the draws. Frozen
-declarative specs (:class:`~repro.channel.fading.MotionFadingSpec`)
-resolve from each point's own stream and split freely.
+A grid whose links share a *live* stateful fading model is never priced
+on the pools: such a model consumes one stream in grid order across
+points, which only the single executor call preserves (see
+:meth:`~repro.engine.scenario.Scenario.require_pool_safe`).
 """
 
 from __future__ import annotations
@@ -60,8 +54,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
+from repro.engine.batch_backend import chunk_limit, composite_entry, partition_points
 from repro.engine.cache import AmbientCache
-from repro.engine.execution import composite_entry, execute_point
 from repro.engine.scenario import GridPoint, Scenario
 from repro.errors import ConfigurationError
 from repro.utils.env import fast_numerics
@@ -75,9 +69,6 @@ DEFAULT_CALIBRATION_PATH = Path(__file__).with_name("calibration.json")
 """The versioned default constants shipped with the package."""
 
 CALIBRATION_VERSION = 1
-
-EXECUTORS = ("serial", "thread", "process", "batched")
-"""Executors the planner chooses among (the four explicit backends)."""
 
 _MPX_PER_AUDIO = int(round(MPX_RATE_HZ / AUDIO_RATE_HZ))
 
@@ -272,7 +263,6 @@ class PartitionFeatures:
             pays one synthesis regardless of executor.
         chunk_rows: rows of one vectorized chunk under the current
             ``REPRO_BATCH_MAX_MB`` budget (capped by the stack width).
-        batchable: the batched executor can take this partition at all.
     """
 
     label: str
@@ -284,7 +274,6 @@ class PartitionFeatures:
     measure_driven: bool
     cache_warm: bool
     chunk_rows: int
-    batchable: bool
 
     def as_dict(self) -> Dict[str, object]:
         record = dataclasses.asdict(self)
@@ -301,7 +290,8 @@ class PlanDecision:
         point_indices: ``GridPoint.index`` of every member, grid order —
             global indices, so shard plans merge unambiguously.
         backend: the executor chosen for the partition.
-        chunk_rows: vectorized chunk budget in rows (1 for serial paths).
+        chunk_rows: the row width the partition runs at (1 for serial
+            and the pools).
         predicted_s: the cost model's estimate per candidate executor.
         features: the feature vector the decision was priced on.
     """
@@ -323,114 +313,61 @@ class SweepPlan:
     label: str
 
 
-def _fading_value(scenario: Scenario, point: GridPoint) -> Optional[object]:
-    return scenario.chain_kwargs(point).get("fading")
-
-
-def _is_live_fading(fading: object) -> bool:
-    """A stateful model instance (vs a frozen per-point-resolved spec)."""
-    return fading is not None and hasattr(fading, "envelope")
-
-
 def extract_features(
     scenario: Scenario,
     data: Mapping[str, object],
     points: Sequence[GridPoint],
     cache: Optional[AmbientCache],
     ambient_master: int,
-) -> Tuple[List[PartitionFeatures], bool]:
-    """Partition the grid exactly as the batched executor would and
-    derive each partition's predictors.
-
-    Returns ``(features, splittable)``: ``splittable`` is False when a
-    live stateful fading model forces a single uniform executor for the
-    whole grid (see module docstring).
+) -> List[PartitionFeatures]:
+    """Derive the predictors of each of the executor's partitions.
 
     Cheap by construction: builds chain/stage value objects and probes
     cache keys, but never synthesizes a waveform or a receiver noise
     stream.
     """
-    if scenario.measure_driven or not points:
-        features = PartitionFeatures(
-            label="measure-driven",
-            positions=tuple(range(len(points))),
-            n_points=len(points),
-            n_samples=0,
-            stereo=False,
-            fading_points=0,
-            measure_driven=True,
-            cache_warm=True,
-            chunk_rows=1,
-            batchable=False,
-        )
-        return [features], True
-
-    from repro.engine.batch_backend import chunk_limit
-    from repro.experiments.common import ExperimentChain
-
-    batchable_scenario = cache is not None and scenario.cache_ambient
-
-    partitions: "Dict[tuple, List[int]]" = {}
-    part_chain: Dict[tuple, ExperimentChain] = {}
-    part_payload: Dict[tuple, np.ndarray] = {}
-    fading_counts: Dict[tuple, int] = {}
-    splittable = True
-    for pos, point in enumerate(points):
-        chain = ExperimentChain(**scenario.chain_kwargs(point))
-        payload = scenario.payload_for(point, data)
-        stage = chain.receive_stage()
-        # Mirrors the executor's two-level grouping: the front-end group
-        # key, then the receiver-homogeneity signature (derived from the
-        # stage rather than a built receiver, so no RNG draw happens).
-        stereo = stage.receiver_kind == "car" or stage.stereo_decode
-        key = (
-            chain.front_end_key(),
-            scenario.variant_for(point),
-            payload.shape[-1],
-            id(payload),
-            stage,
-            stereo,
-        )
-        members = partitions.setdefault(key, [])
-        members.append(pos)
-        if key not in part_chain:
-            part_chain[key] = chain
-            part_payload[key] = payload
-        fading = _fading_value(scenario, point)
-        if fading is not None:
-            fading_counts[key] = fading_counts.get(key, 0) + 1
-            if _is_live_fading(fading):
-                splittable = False
-
     features: List[PartitionFeatures] = []
-    for key, positions in partitions.items():
-        chain, payload = part_chain[key], part_payload[key]
-        stage, stereo = key[4], key[5]
-        n_samples = int(payload.shape[-1]) * _MPX_PER_AUDIO
+    for part in partition_points(scenario, data, points, cache):
+        positions = tuple(part.positions)
+        if scenario.measure_driven:
+            features.append(
+                PartitionFeatures(
+                    label="measure-driven",
+                    positions=positions,
+                    n_points=len(positions),
+                    n_samples=0,
+                    stereo=False,
+                    fading_points=0,
+                    measure_driven=True,
+                    cache_warm=True,
+                    chunk_rows=1,
+                )
+            )
+            continue
+        n_samples = int(part.payload.shape[-1]) * _MPX_PER_AUDIO
         warm = False
-        if batchable_scenario:
+        if cache is not None and scenario.cache_ambient:
             _, _, composite_key = composite_entry(
-                scenario, points[positions[0]], payload, cache, ambient_master
+                scenario, points[positions[0]], part.payload, cache, ambient_master
             )
             warm = cache.contains(composite_key)
         features.append(
             PartitionFeatures(
                 label=(
-                    f"{stage.receiver_kind}/{'stereo' if stereo else 'mono'}"
+                    f"{part.stage.receiver_kind}/{'stereo' if part.stereo else 'mono'}"
                     f"@{n_samples}"
                 ),
-                positions=tuple(positions),
+                positions=positions,
                 n_points=len(positions),
                 n_samples=n_samples,
-                stereo=bool(stereo),
-                fading_points=fading_counts.get(key, 0),
+                stereo=part.stereo,
+                fading_points=sum(chain.fading is not None for chain in part.chains),
                 measure_driven=False,
                 cache_warm=warm,
                 chunk_rows=min(len(positions), chunk_limit(n_samples)),
-                batchable=batchable_scenario,
             )
         )
-    return features, splittable
+    return features
 
 
 def estimate(
@@ -441,9 +378,9 @@ def estimate(
 ) -> Dict[str, float]:
     """Predicted wall-clock seconds of one partition per executor.
 
-    Executors a partition cannot run on are omitted: ``batched`` needs a
-    batchable partition, ``process`` a picklable scenario, and pool
-    backends more than one point. Measure-driven partitions price only
+    Executors a partition cannot run on are omitted: ``batched`` (a width
+    above 1) and the pools need more than one point, and ``process`` a
+    picklable scenario. Measure-driven partitions price only
     ``serial`` — the engine knows nothing about the inside of their
     measures, and guessing would let noise flip the default away from
     the reference semantics.
@@ -478,7 +415,7 @@ def estimate(
                 + c.process_spawn_s
                 + (serial_s - synth_s) / max(process_eff, 1e-6)
             )
-    if features.batchable:
+    if p > 1:
         vector_mix = 1.0 + fading_frac * (c.fading_vector_factor - 1.0)
         if features.stereo:
             vector_mix *= c.stereo_vector_factor
@@ -502,13 +439,13 @@ def plan_sweep(
     max_workers: int = 1,
     calibration: Optional[CalibrationConstants] = None,
 ) -> SweepPlan:
-    """Choose the cheapest executor (and chunk budget) per partition."""
+    """Choose the cheapest executor (and row width) per partition."""
     calibration = calibration if calibration is not None else load_calibration()
-    features, splittable = extract_features(
-        scenario, data, points, cache, ambient_master
-    )
+    features = extract_features(scenario, data, points, cache, ambient_master)
+    if scenario.shares_live_fading:
+        max_workers = 1  # never price pools (see module docstring)
     picklable = False
-    if not scenario.measure_driven and len(points) > 1:
+    if not scenario.measure_driven and len(points) > 1 and max_workers > 1:
         try:
             scenario.require_picklable()
             picklable = True
@@ -520,18 +457,6 @@ def plan_sweep(
         for f in features
     ]
     choices = [min(costs, key=costs.get) for costs in predictions]
-    if not splittable and len(set(choices)) > 1:
-        # A live stateful fading model consumes its stream in grid order
-        # across the whole grid: pick ONE executor — the grid-total
-        # cheapest among those every partition supports — so the
-        # consumption order matches a pure single-backend run.
-        common = set.intersection(*(set(costs) for costs in predictions))
-        totals = {
-            backend: sum(costs[backend] for costs in predictions)
-            for backend in common
-        }
-        uniform = min(totals, key=totals.get)
-        choices = [uniform] * len(features)
 
     decisions: List[PlanDecision] = []
     by_backend: Dict[str, List[int]] = {}
@@ -553,89 +478,6 @@ def plan_sweep(
         f"{backend}:{len(by_backend[backend])}" for backend in sorted(by_backend)
     ) + "]"
     return SweepPlan(decisions=decisions, by_backend=by_backend, label=label)
-
-
-def plan_and_run(
-    scenario: Scenario,
-    data: Dict[str, object],
-    points: Sequence[GridPoint],
-    seeds: Sequence[int],
-    cache: Optional[AmbientCache],
-    ambient_master: int,
-    max_workers: int = 1,
-) -> Tuple[List[object], int, int, List[PlanDecision], str]:
-    """Plan the grid, then execute each partition on its chosen backend.
-
-    Bit-identity across any split holds for the same reason it holds
-    across whole-grid backends: every point's stream seed is pre-derived
-    before execution, and each executor rebuilds ``default_rng(seed)``
-    per point (splits are disabled when a live stateful fading model
-    makes grid-order consumption span points — see :func:`plan_sweep`).
-
-    Returns:
-        ``(values, n_fallbacks, n_workers, decisions, label)`` — values
-        in grid order; ``n_fallbacks`` counts batch-eligible points the
-        batched executor bounced to its serial fallback (points the
-        *planner* routed to serial are decisions, not fallbacks).
-    """
-    plan = plan_sweep(
-        scenario, data, points, cache, ambient_master, max_workers=max_workers
-    )
-    values: List[object] = [None] * len(points)
-    n_fallbacks = 0
-    n_workers = 1
-    for backend, positions in plan.by_backend.items():
-        if backend == "batched":
-            from repro.engine.batch_backend import run_batched_backend
-
-            sub_values, _, sub_fallbacks = run_batched_backend(
-                scenario,
-                data,
-                [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions],
-                cache,
-                ambient_master,
-            )
-            n_fallbacks += sub_fallbacks
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        elif backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            n_workers = max(n_workers, max_workers)
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                sub_values = list(
-                    pool.map(
-                        lambda pos: execute_point(
-                            scenario, points[pos], seeds[pos], data, cache,
-                            ambient_master,
-                        ),
-                        positions,
-                    )
-                )
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        elif backend == "process":
-            from repro.engine.process_backend import run_process_backend
-
-            n_workers = max(n_workers, max_workers)
-            sub_values = run_process_backend(
-                scenario,
-                data,
-                [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions],
-                cache,
-                ambient_master,
-                max_workers,
-            )
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        else:  # serial
-            for pos in positions:
-                values[pos] = execute_point(
-                    scenario, points[pos], seeds[pos], data, cache, ambient_master
-                )
-    return values, n_fallbacks, n_workers, plan.decisions, plan.label
 
 
 # --------------------------------------------------------------------------
@@ -706,8 +548,6 @@ def calibrate(quick: bool = False) -> CalibrationConstants:
     the mix multipliers; and (unless ``quick``) a thread run, a process
     run and a bare pool spawn price the pool backends.
     """
-    from repro.engine.batch_backend import chunk_limit
-
     d = CalibrationConstants()
     cache = AmbientCache()
     p_short, dur_short = 16, 0.05

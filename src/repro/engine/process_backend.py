@@ -7,9 +7,9 @@ grid point to a ``ProcessPoolExecutor`` instead.
 
 Bit-identity with the serial backend comes for free from the engine's
 seed discipline: every point's stream seed is pre-derived in the parent,
-so a worker just rebuilds ``default_rng(seed)`` and runs the exact same
-:func:`~repro.engine.execution.execute_point`. What *does* need care is
-the ambient cache, which is per-process:
+so a worker runs its point through the same executor,
+:func:`~repro.engine.batch_backend.run_batched_backend`, at width 1.
+What *does* need care is the ambient cache, which is per-process:
 
 - The scenario must be picklable — the declarative spec form
   (:class:`~repro.engine.scenario.AxisRef` templates, ``chain_axes``,
@@ -31,8 +31,8 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.batch_backend import composite_entry, run_batched_backend
 from repro.engine.cache import AmbientCache
-from repro.engine.execution import composite_entry, execute_point
 from repro.engine.scenario import GridPoint, Scenario
 from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
 
@@ -55,13 +55,14 @@ def _init_worker(scenario_blob: bytes, data: Dict[str, object], ambient_master: 
 def _run_point_task(task: Tuple[int, GridPoint, int]) -> Tuple[int, object]:
     """Execute one grid point inside a worker."""
     index, point, seed = task
-    value = execute_point(
+    (value,) = run_batched_backend(
         _WORKER_STATE["scenario"],
-        point,
-        seed,
         _WORKER_STATE["data"],
+        [point],
+        [seed],
         _WORKER_STATE["cache"],
         _WORKER_STATE["ambient_master"],
+        rows=1,
     )
     return index, value
 

@@ -81,22 +81,8 @@ class SweepResult:
         data: the shared dict returned by the scenario's ``prepare``
             (payload bits, reference audio, ...), for post-grid steps
             like MRC combining or BER scoring.
-        backend: which execution backend ran the grid; the batched
-            backend reports how many points it vectorized, e.g.
-            ``"batched[40/40]"``.
-        n_fallbacks: how many *batch-eligible* points (the scenario
-            declares a chain + ``payload``, so the runner performs the
-            transmission) the batched backend executed through the
-            serial per-point fallback instead of a vectorized stack.
-            ``0`` means full vectorized coverage — since the
-            zero-fallback backend landed, every chain feature (fading,
-            stereo, de-emphasis, receiver output effects) batches, so a
-            nonzero count is a regression. Points of measure-driven
-            scenarios (no declared payload; the measure transmits
-            itself, e.g. Fig. 12's two-phone cancellation or the
-            deployment layer) execute per point by construction and are
-            not counted. ``None`` when a backend without a fallback
-            concept (serial/thread/process) ran.
+        backend: which execution backend ran the grid (``"serial"``,
+            ``"batched"``, ``"auto[batched:4+serial:4]"``, ...).
         plan: the planner's per-partition decisions
             (:class:`~repro.engine.planner.PlanDecision` records — chosen
             backend, chunk budget, predicted costs, feature vector) when
@@ -122,7 +108,6 @@ class SweepResult:
     data: Dict[str, object] = field(default_factory=dict)
     backend: str = "serial"
     scenario_name: str = ""
-    n_fallbacks: Optional[int] = None
     plan: Optional[List[object]] = None
 
     @classmethod
@@ -191,9 +176,6 @@ class SweepResult:
                         cache_stats[key] = max(cache_stats.get(key, 0), count)
                     else:
                         cache_stats[key] = cache_stats.get(key, 0) + count
-        n_fallbacks: Optional[int] = None
-        if all(r.n_fallbacks is not None for r in results):
-            n_fallbacks = sum(r.n_fallbacks for r in results)
         plan: Optional[List[object]] = None
         if all(r.plan is not None for r in results):
             # Grid order via each decision's first global point index —
@@ -212,7 +194,6 @@ class SweepResult:
             data=results[0].data,
             backend=f"merged[{len(results)}]",
             scenario_name=results[0].scenario_name,
-            n_fallbacks=n_fallbacks,
             plan=plan,
         )
 

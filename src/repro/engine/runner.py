@@ -13,29 +13,31 @@
    therefore fixed before execution starts, so all backends are
    bit-identical to the serial loop and to the hand-rolled loops they
    replaced.
-3. The selected backend executes the points:
+3. The selected backend executes the points. Every backend runs them
+   through the one point executor,
+   :func:`~repro.engine.batch_backend.run_batched_backend`, which stacks
+   points sharing a front end into ``(rows, samples)`` passes; backends
+   differ in the row width they ask for and in who calls it:
 
-   - ``serial`` — a plain loop (the reference semantics).
-   - ``thread`` — a thread pool; right when the heavy lifting is
-     NumPy/SciPy FFT work that releases the GIL.
+   - ``serial`` — width 1: one point per pass (the reference semantics).
+   - ``batched`` — the widest pass the ``REPRO_BATCH_MAX_MB`` memory cap
+     admits per partition.
+   - ``thread`` — a thread pool, each point at width 1; right when the
+     heavy lifting is NumPy/SciPy FFT work that releases the GIL.
    - ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`
-     over the picklable point specs, for GIL-bound measures; requires
-     the scenario's declarative (spec) form. The parent warms a shared
-     disk store so workers skip ambient synthesis.
-   - ``batched`` — groups points sharing one front end and runs the
-     link + receive math (fading, mono and stereo decode alike — via
-     per-row envelope stacks and the multi-waveform pilot PLL — plus
-     de-emphasis and receiver output effects) vectorized over a
-     ``(points, samples)`` stack. Every runner-transmitted point
-     batches; ``SweepResult.n_fallbacks`` counts batch-eligible points
-     that had to run serially (now structurally zero) while
-     measure-driven scenarios execute per point by construction.
-   - ``auto`` — the planner (:mod:`repro.engine.planner`) partitions the
-     grid exactly as the batched executor would, prices each partition
-     under every executor with a calibrated cost model, and dispatches
-     each to its cheapest backend — short-row partitions ride the
-     vectorized stack while long-row ones run serially — recording every
-     decision on :attr:`~repro.engine.results.SweepResult.plan`.
+     over the picklable point specs, each point at width 1, for
+     GIL-bound measures; requires the scenario's declarative form. The
+     parent warms a shared disk store so workers skip ambient synthesis.
+   - ``auto`` — the planner (:mod:`repro.engine.planner`) prices each of
+     the executor's partitions with a calibrated cost model and picks
+     its width (1 for long rows, the memory-capped width for short ones)
+     or a pool, then runs every stacked partition in one executor call,
+     recording each decision on
+     :attr:`~repro.engine.results.SweepResult.plan`.
+
+   The pool backends refuse a grid sharing a live fading model (see
+   :meth:`~repro.engine.scenario.Scenario.require_pool_safe`), and
+   ``auto`` never prices pools for one.
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
 environment variable (strictly parsed — a typo raises
@@ -59,12 +61,12 @@ import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.batch_backend import Rows, run_batched_backend
 from repro.engine.cache import AmbientCache, default_cache, stats_delta
-from repro.engine.execution import execute_point
 from repro.engine.results import SweepResult
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import GridPoint, Scenario
 from repro.errors import ConfigurationError
 from repro.utils.env import env_choice, env_int
 from repro.utils.rand import RngLike, as_generator, derive_seed
@@ -243,54 +245,54 @@ class SweepRunner:
 
         backend_label = self.backend
         n_workers = 1
-        n_fallbacks: Optional[int] = None
         plan = None
+        rows: Rows = 1
         start = time.perf_counter()
+        # executor -> positions it runs: "stacked" is one executor call at
+        # width `rows`, "thread"/"process" a pool at width 1.
+        everything = list(range(len(points)))
         if self.backend == "serial" or len(points) <= 1:
             # Pools and stacking buy nothing on a <=1-point grid; the
             # label records what actually executed.
             backend_label = "serial"
-            values: List[object] = [
-                execute_point(scenario, point, seeds[i], data, cache, ambient_master)
-                for i, point in enumerate(points)
-            ]
-        elif self.backend == "thread":
-            n_workers = self._pool_workers()
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                values = list(
-                    pool.map(
-                        lambda args: execute_point(
-                            scenario, args[1], seeds[args[0]], data, cache, ambient_master
-                        ),
-                        enumerate(points),
-                    )
-                )
-        elif self.backend == "process":
-            from repro.engine.process_backend import run_process_backend
-
-            n_workers = self._pool_workers()
-            values = run_process_backend(
-                scenario, data, points, seeds, cache, ambient_master, n_workers
-            )
+            groups = {"stacked": everything}
+        elif self.backend == "batched":
+            rows = None
+            groups = {"stacked": everything}
         elif self.backend == AUTO_BACKEND:
-            from repro.engine.planner import plan_and_run
+            from repro.engine.planner import plan_sweep
 
-            values, n_fallbacks, n_workers, plan, backend_label = plan_and_run(
-                scenario,
-                data,
-                points,
-                seeds,
-                cache,
-                ambient_master,
-                self._pool_workers(),
+            sweep_plan = plan_sweep(
+                scenario, data, points, cache, ambient_master,
+                max_workers=self._pool_workers(),
             )
-        else:  # batched
-            from repro.engine.batch_backend import run_batched_backend
+            plan, backend_label = sweep_plan.decisions, sweep_plan.label
+            rows = {i: d.chunk_rows for d in plan for i in d.point_indices}
+            groups = {}
+            for backend, positions in sweep_plan.by_backend.items():
+                pooled = backend in ("thread", "process")
+                groups.setdefault(backend if pooled else "stacked", []).extend(positions)
+        else:
+            groups = {self.backend: everything}
 
-            values, n_batched, n_fallbacks = run_batched_backend(
-                scenario, data, points, seeds, cache, ambient_master
-            )
-            backend_label = f"batched[{n_batched}/{len(points)}]"
+        values: List[object] = [None] * len(points)
+        for executor, positions in groups.items():
+            positions.sort()  # grid order, which a live fading model needs
+            sub_points = [points[p] for p in positions]
+            sub_seeds = [seeds[p] for p in positions]
+            if executor == "stacked":
+                sub_values = run_batched_backend(
+                    scenario, data, sub_points, sub_seeds, cache, ambient_master,
+                    rows=rows,
+                )
+            else:
+                n_workers = self._pool_workers()
+                sub_values = _run_pool(
+                    executor, scenario, data, sub_points, sub_seeds, cache,
+                    ambient_master, n_workers,
+                )
+            for pos, value in zip(positions, sub_values):
+                values[pos] = value
         elapsed = time.perf_counter() - start
 
         cache_stats = None
@@ -301,13 +303,46 @@ class SweepRunner:
             points=points,
             values=values,
             elapsed_s=elapsed,
-            n_workers=n_workers if self.backend != "serial" else 1,
+            n_workers=n_workers,
             cache_stats=cache_stats,
             data=data,
             backend=backend_label,
             scenario_name=scenario.name,
-            n_fallbacks=n_fallbacks,
             plan=plan,
+        )
+
+
+def _run_pool(
+    backend: str,
+    scenario: Scenario,
+    data: Dict[str, object],
+    points: Sequence[GridPoint],
+    seeds: Sequence[int],
+    cache: Optional[AmbientCache],
+    ambient_master: int,
+    n_workers: int,
+) -> List[object]:
+    """Run points across a ``thread`` or ``process`` pool, each at width 1.
+
+    Values come back in the order of ``points``. Refuses a grid sharing a
+    live fading model (:meth:`Scenario.require_pool_safe`).
+    """
+    scenario.require_pool_safe(backend)
+    if backend == "process":
+        from repro.engine.process_backend import run_process_backend
+
+        return run_process_backend(
+            scenario, data, points, seeds, cache, ambient_master, n_workers
+        )
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(
+            pool.map(
+                lambda i: run_batched_backend(
+                    scenario, data, points[i : i + 1], seeds[i : i + 1], cache,
+                    ambient_master, rows=1,
+                )[0],
+                range(len(points)),
+            )
         )
 
 

@@ -124,7 +124,7 @@ class PointRun:
             attach it or derive per-transmission variants via
             ``ambient.with_variant(...)``.
         chain: the pre-built :class:`~repro.experiments.common.ExperimentChain`
-            for scenarios that declare ``chain_params`` (``None`` otherwise).
+            for scenarios that declare chain kwargs (``None`` otherwise).
         received: the chain's decoded output for scenarios that declare a
             ``payload`` — the runner performs the transmission itself (so
             backends can batch or ship it) and the measure only scores.
@@ -182,6 +182,12 @@ class PayloadSelector:
             ) from None
 
 
+def is_live_fading(fading: object) -> bool:
+    """A stateful fading model instance (vs a declarative spec each point
+    resolves from its own stream)."""
+    return fading is not None and hasattr(fading, "envelope")
+
+
 def _default_rng_keys(scenario: "Scenario", point: GridPoint) -> Tuple[object, ...]:
     return (scenario.name,) + point.values
 
@@ -190,15 +196,12 @@ def _default_rng_keys(scenario: "Scenario", point: GridPoint) -> Tuple[object, .
 class Scenario:
     """Declarative description of one experiment sweep.
 
-    Two styles coexist. The original *callable* style (``chain_params`` /
-    ``rng_keys`` / ``ambient_variant`` as lambdas) is concise but closes
-    over local state, so such scenarios can only run in-process. The
-    *spec* style expresses the same per-point wiring as plain data —
-    ``chain_axes`` / ``chain_value_params`` for chain kwargs,
-    :class:`AxisRef` templates for RNG keys and variants, a module-level
-    ``measure`` with ``measure_params``, and a ``payload`` key — which
-    makes the scenario picklable, so grid points can be shipped to
-    process-pool workers or regrouped by the batched backend.
+    The per-point wiring is plain data — ``chain_axes`` /
+    ``chain_value_params`` for chain kwargs, :class:`AxisRef` templates
+    for RNG keys and variants, a module-level ``measure`` with
+    ``measure_params``, and a ``payload`` key — so a scenario pickles,
+    and its grid points can be shipped to process-pool workers or
+    regrouped into stacked passes.
 
     Attributes:
         name: scenario label (also the default RNG key prefix).
@@ -214,16 +217,14 @@ class Scenario:
             process; it may be (and usually is) a closure.
         base_chain: common :class:`ExperimentChain` kwargs; ``None`` means
             the scenario does not use runner-built chains.
-        chain_params: per-point chain kwargs merged over ``base_chain``
-            (callable style).
         rng_keys: per-point key tuple fed to
             :func:`repro.utils.rand.child_generator`; defaults to
-            ``(name, *point.values)``. Either a callable or an
-            :class:`AxisRef` template tuple. Figure modules set this to
-            reproduce their legacy derivations.
+            ``(name, *point.values)``. An :class:`AxisRef` template
+            tuple. Figure modules set this to reproduce their legacy
+            derivations.
         ambient_variant: optional per-point cache-key variant so selected
             points (e.g. MRC repetitions) get independent ambient program
-            audio instead of sharing one synthesis. A callable, a single
+            audio instead of sharing one synthesis. A single
             :class:`AxisRef`, or a template tuple.
         cache_ambient: share ambient MPX / modulated carriers across grid
             points through the runner's cache (the legacy loops
@@ -241,7 +242,7 @@ class Scenario:
             a ``data`` key (or per-point :class:`PayloadSelector`) naming
             the waveform to send through the point's chain. The decoded
             output arrives as ``run.received``. Declaring it is what lets
-            the batched backend stack points sharing a front end into one
+            the executor stack points sharing a front end into one
             vectorized link + receive pass.
     """
 
@@ -250,13 +251,8 @@ class Scenario:
     measure: Callable[..., object]
     prepare: Optional[Callable[[np.random.Generator], Dict[str, object]]] = None
     base_chain: Optional[Dict[str, object]] = None
-    chain_params: Optional[Callable[[GridPoint], Dict[str, object]]] = None
-    rng_keys: Optional[
-        Union[Callable[[GridPoint], Tuple[object, ...]], Tuple[object, ...]]
-    ] = None
-    ambient_variant: Optional[
-        Union[Callable[[GridPoint], object], AxisRef, Tuple[object, ...]]
-    ] = None
+    rng_keys: Optional[Tuple[object, ...]] = None
+    ambient_variant: Optional[Union[AxisRef, Tuple[object, ...]]] = None
     cache_ambient: bool = True
     measure_params: Dict[str, object] = field(default_factory=dict)
     chain_axes: Tuple[str, ...] = ()
@@ -266,8 +262,6 @@ class Scenario:
     payload: Optional[Union[str, PayloadSelector]] = None
 
     def point_rng_keys(self, point: GridPoint) -> Tuple[object, ...]:
-        if callable(self.rng_keys):
-            return tuple(self.rng_keys(point))
         if self.rng_keys is not None:
             return resolve_template(self.rng_keys, point)
         return _default_rng_keys(self, point)
@@ -277,8 +271,6 @@ class Scenario:
         spec = self.ambient_variant
         if isinstance(spec, AxisRef):
             return point[spec.name]
-        if callable(spec):
-            return spec(point)
         if spec is not None:
             return resolve_template(spec, point)
         return None
@@ -290,9 +282,9 @@ class Scenario:
         Measure-driven points (Fig. 12's two-phone cancellation, the
         deployment layer's MAC-gated frames, the survey figures) execute
         per point by construction: there is no runner-performed
-        transmission for a backend to vectorize, ship or predict, so the
-        batched backend runs them serially without counting fallbacks and
-        the planner routes them straight to the serial executor.
+        transmission to stack, ship or predict, so the executor calls
+        the measure point by point and the planner prices them serial
+        only.
         """
         return self.payload is None or not self.uses_chain
 
@@ -300,7 +292,6 @@ class Scenario:
     def uses_chain(self) -> bool:
         return (
             self.base_chain is not None
-            or self.chain_params is not None
             or bool(self.chain_axes)
             or bool(self.chain_value_params)
         )
@@ -317,8 +308,6 @@ class Scenario:
                 raise ConfigurationError(
                     f"chain_value_params[{axis!r}] has no entry for {value!r}"
                 ) from None
-        if self.chain_params is not None:
-            kwargs.update(self.chain_params(point))
         return kwargs
 
     def payload_for(
@@ -359,9 +348,41 @@ class Scenario:
         except Exception as exc:
             raise ConfigurationError(
                 f"scenario {self.name!r} cannot be shipped to worker processes "
-                f"({exc}); replace closures with the declarative spec form — "
-                "chain_axes/chain_value_params for chain kwargs, AxisRef "
-                "templates for rng_keys/ambient_variant, and a module-level "
-                "measure with measure_params — or run with the serial/thread "
+                f"({exc}); keep it declarative — a module-level measure "
+                "with picklable measure_params, AxisRef templates for "
+                "rng_keys/ambient_variant, and no closures in base_chain or "
+                "chain_value_params (prepare may be one: it runs in the "
+                "parent only) — or run with the serial, batched or thread "
                 "backend"
             ) from None
+
+    @property
+    def shares_live_fading(self) -> bool:
+        """Whether any point's chain carries a live (stateful) fading model.
+
+        One live model instance is a single random stream the grid
+        consumes in point order, so such a grid cannot be split across
+        pool workers (see :meth:`require_pool_safe`).
+        """
+        return self.uses_chain and any(
+            is_live_fading(self.chain_kwargs(point).get("fading"))
+            for point in self.sweep.points()
+        )
+
+    def require_pool_safe(self, executor: str) -> None:
+        """Refuse to fan a grid sharing a live fading model out to a pool.
+
+        Pool workers would each draw from their own unpickled copy of the
+        model (processes) or race on one (threads), silently changing
+        results. Raises :class:`~repro.errors.ConfigurationError` naming
+        the declarative replacement.
+        """
+        if self.shares_live_fading:
+            raise ConfigurationError(
+                f"scenario {self.name!r} shares a live fading model across "
+                f"grid points, which the {executor} executor cannot split "
+                "between workers without changing results; declare the "
+                "fading as MotionFadingSpec(...) — each point resolves it "
+                "from its own stream — or run with the serial or batched "
+                "backend"
+            )

@@ -235,14 +235,16 @@ class SweepService:
     async def submit(self, scenario: Scenario, rng: RngLike = None) -> str:
         """Accept a sweep for execution; returns its job id immediately.
 
-        Validates picklability up front (the one scenario property the
-        launcher cannot work without), so a closure-laden scenario fails
-        at the front door with a migration hint instead of inside a
-        worker. With a journal attached, the submission is durable before
-        this returns: the scenario and the *pristine* rng state are
-        journaled, so a crash one instant later loses nothing.
+        Validates up front what the launcher cannot work without — a
+        picklable scenario sharing no live fading model across points —
+        so a bad scenario fails at the front door with a migration hint
+        instead of inside a worker. With a journal attached, the
+        submission is durable before this returns: the scenario and the
+        *pristine* rng state are journaled, so a crash one instant later
+        loses nothing.
         """
         scenario.require_picklable()
+        scenario.require_pool_safe("service")
         job_id = self._next_job_id(scenario.name)
         # Normalize the seed to a Generator *now* and journal that exact
         # state: replaying the journal then reproduces the very streams

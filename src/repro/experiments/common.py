@@ -17,7 +17,7 @@ dataclass configs, each with a pure ``apply(state, rng)`` that advances
 a :class:`ChainState`. :class:`ExperimentChain` is the user-facing bundle
 that derives the three stages and the per-stage child generators; the
 sweep engine's process backend ships stage configs across process
-boundaries, and its batched backend re-groups them (one shared front
+boundaries, and its point executor re-groups them (one shared front
 end, vectorized link + receive) without re-deriving any of the physics.
 """
 
@@ -224,8 +224,9 @@ class ExperimentChain:
             declarative :class:`~repro.channel.fading.MotionFadingSpec`,
             which the link resolves per transmission from its own
             generator. Prefer the spec in sweep scenarios: it is
-            picklable and order-independent, so fading grids batch on
-            the vectorized backend and stay bit-identical on all four.
+            picklable and order-independent, so fading grids run on
+            every backend, pools included, and stay bit-identical; the
+            pool backends refuse a live model shared across points.
         stereo_decode: receiver attempts stereo decoding (needed for
             stereo-backscatter modes; skipping it avoids the pilot PLL on
             mono-band experiments).

@@ -56,9 +56,9 @@ def build_scenario(
 ) -> Scenario:
     """The declarative Fig. 9 sweep: (distance x repetition) receptions.
 
-    Module-level so tests (and the CI zero-fallback gate) can execute the
-    exact grid ``run()`` uses under any backend and assert the batched
-    backend vectorizes every point.
+    Module-level so tests (and the CI oracle gate) can execute the exact
+    grid ``run()`` uses under any backend and compare it with the
+    point-by-point oracle.
     """
 
     # Each repetition must hear *different* program audio (that is what

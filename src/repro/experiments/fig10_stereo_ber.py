@@ -36,8 +36,8 @@ def build_scenario(
     """The declarative sweep for one Fig. 10 rate panel.
 
     Module-level so tests can execute the exact grid ``run()`` uses under
-    any backend (e.g. asserting the batched backend vectorizes the stereo
-    points with zero per-point fallbacks).
+    any backend (e.g. asserting the batched backend's stereo points match
+    the point-by-point oracle).
     """
 
     def prepare(gen):

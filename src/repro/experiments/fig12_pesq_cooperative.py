@@ -160,13 +160,12 @@ def build_scenario(
 ) -> Scenario:
     """The declarative Fig. 12 sweep.
 
-    Module-level so tests (and the CI zero-fallback gate) can execute the
-    exact grid ``run()`` uses under any backend. Note this scenario is
+    Module-level so tests (and the CI oracle gate) can execute the exact
+    grid ``run()`` uses under any backend. Note this scenario is
     *measure-driven*: the two-phone reception + cancellation happens
     inside :func:`measure_coop_pesq`, so there is no runner-performed
-    transmission for the batched backend to vectorize — its points
-    execute per point by construction and are not counted as fallbacks
-    (``SweepResult.n_fallbacks == 0``).
+    transmission to stack — the executor calls the measure point by
+    point.
     """
     return Scenario(
         name="fig12",

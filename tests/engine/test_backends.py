@@ -1,18 +1,22 @@
-"""Golden-seed equivalence of the sweep backends.
+"""Golden-seed equivalence of the sweep backends with the point oracle.
 
 The engine's contract: the per-point streams are pre-derived from the
 sweep generator, so ``serial``, ``thread``, ``process`` and ``batched``
-execution — and ``auto``, which may split one grid across several of
-them — return bit-identical results: on a data-BER scenario (Fig. 8),
-an audio-metric scenario (Fig. 7) and the stereo-decoding scenarios
-(Fig. 10/13, whose pilot PLL the batched backend vectorizes through the
-multi-waveform ``track_batch``) alike.
+execution — and ``auto``, which may split one grid across several row
+widths and pools — return the values of the former point-by-point
+executor (:mod:`point_oracle`) bit for bit: on a data-BER scenario
+(Fig. 8), an audio-metric scenario (Fig. 7) and the stereo-decoding
+scenarios (Fig. 10/13, whose pilot PLL the stacked executor runs
+through the multi-waveform ``track_batch``) alike.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.audio.tones import tone
+from repro.channel.fading import MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.data.fdm import FdmFskModem
 from repro.engine import (
@@ -29,6 +33,8 @@ from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import fast_numerics
+
+from point_oracle import oracle_result, oracle_values
 
 exact_numerics_only = pytest.mark.skipif(
     fast_numerics(),
@@ -68,20 +74,30 @@ class TestBackendEquivalence:
     def fig08_by_backend(self):
         return {
             backend: self._run_with_backend(fig08.run, FIG08_KWARGS, backend)
-            for backend in BACKENDS
+            for backend in BACKENDS + ("oracle",)
         }
 
     @pytest.fixture(scope="class")
     def fig07_by_backend(self):
         return {
             backend: self._run_with_backend(fig07.run, FIG07_KWARGS, backend)
-            for backend in BACKENDS
+            for backend in BACKENDS + ("oracle",)
         }
 
     @staticmethod
     def _run_with_backend(run, kwargs, backend):
+        """A figure's ``run()`` on one backend, or through the point
+        oracle for ``backend="oracle"``."""
         import os
 
+        if backend == "oracle":
+            module = sys.modules[run.__module__]
+            engine_run = module.run_scenario
+            module.run_scenario = oracle_result
+            try:
+                return run(**kwargs)
+            finally:
+                module.run_scenario = engine_run
         before = os.environ.get("REPRO_SWEEP_BACKEND")
         os.environ["REPRO_SWEEP_BACKEND"] = backend
         try:
@@ -93,47 +109,38 @@ class TestBackendEquivalence:
                 os.environ["REPRO_SWEEP_BACKEND"] = before
 
     def test_data_ber_scenario_identical_across_backends(self, fig08_by_backend):
-        serial = fig08_by_backend["serial"]
+        oracle = fig08_by_backend["oracle"]
         # The grid sits on the BER cliff, so the values are non-trivial —
         # a shifted noise stream would visibly change them.
-        assert any(v > 0 for key in ("P-55", "P-60") for v in serial[key])
-        for backend in BACKENDS[1:]:
-            assert fig08_by_backend[backend] == serial, backend
+        assert any(v > 0 for key in ("P-55", "P-60") for v in oracle[key])
+        for backend in BACKENDS:
+            assert fig08_by_backend[backend] == oracle, backend
 
     def test_audio_metric_scenario_identical_across_backends(self, fig07_by_backend):
-        serial = fig07_by_backend["serial"]
-        for backend in BACKENDS[1:]:
-            assert fig07_by_backend[backend] == serial, backend
+        oracle = fig07_by_backend["oracle"]
+        for backend in BACKENDS:
+            assert fig07_by_backend[backend] == oracle, backend
 
     def test_stereo_ber_scenario_identical_across_backends(self):
         # Fig. 10 mixes overlay (mono decode) and stereo (pilot PLL)
-        # points in one grid; all four backends must agree bit for bit.
-        by_backend = {
-            backend: self._run_with_backend(fig10.run, FIG10_KWARGS, backend)
-            for backend in BACKENDS
-        }
-        serial = by_backend["serial"]
-        for backend in BACKENDS[1:]:
-            assert by_backend[backend] == serial, backend
+        # points in one grid; every backend must match the oracle.
+        oracle = self._run_with_backend(fig10.run, FIG10_KWARGS, "oracle")
+        for backend in BACKENDS:
+            assert self._run_with_backend(fig10.run, FIG10_KWARGS, backend) == oracle, backend
 
     def test_stereo_pesq_scenario_identical_across_backends(self):
         # Fig. 13 stereo-decodes at every point, with the pilot gate
         # flipping between lock and mono fallback across the power axis.
-        by_backend = {
-            backend: self._run_with_backend(fig13.run, FIG13_KWARGS, backend)
-            for backend in BACKENDS
-        }
-        serial = by_backend["serial"]
-        for backend in BACKENDS[1:]:
-            assert by_backend[backend] == serial, backend
+        oracle = self._run_with_backend(fig13.run, FIG13_KWARGS, "oracle")
+        for backend in BACKENDS:
+            assert self._run_with_backend(fig13.run, FIG13_KWARGS, backend) == oracle, backend
 
     def test_batched_handles_mixed_receivers_in_one_front_end_group(self):
         # A receiver-kind axis shares one front end across phone and car
-        # points; the batched backend must partition the group — the mono
-        # phone half through the mono decode, the car half (whose radio
-        # always runs its stereo decoder) through the multi-waveform-PLL
-        # stereo decode — and stay bit-identical to serial with zero
-        # per-point fallbacks.
+        # points; the executor must partition the group — the mono phone
+        # half through the mono decode, the car half (whose radio always
+        # runs its stereo decoder) through the multi-waveform-PLL stereo
+        # decode — and match the oracle at every width.
         payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
             name="mixed",
@@ -150,33 +157,25 @@ class TestBackendEquivalence:
             payload="payload",
             measure=_mean_abs,
         )
-        serial = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="serial"
-        ).run()
-        batched = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="batched"
-        ).run()
-        assert batched.values == serial.values
-        assert batched.backend == "batched[4/4]"
-        assert batched.n_fallbacks == 0
-        assert serial.n_fallbacks is None
+        oracle = oracle_values(scenario, SEED)
+        for backend in ("serial", "batched"):
+            result = SweepRunner(
+                scenario, rng=SEED, cache=AmbientCache(), backend=backend
+            ).run()
+            assert result.values == oracle, backend
+            assert result.backend == backend
 
     def test_fig10_batched_takes_zero_stereo_fallbacks(self):
         # The acceptance bar for the multi-waveform pilot PLL: the exact
-        # Fig. 10 grid vectorizes completely — no per-point fallback on
-        # the stereo-decoding half — and matches serial bit for bit.
+        # Fig. 10 grid, stereo-decoding half included, runs stacked and
+        # matches the oracle bit for bit.
         scenario = fig10.build_scenario(
             "1.6k", FdmFskModem(symbol_rate=200), distances_ft=(2, 4), n_bits=48
         )
-        serial = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="serial"
-        ).run()
         batched = SweepRunner(
             scenario, rng=SEED, cache=AmbientCache(), backend="batched"
         ).run()
-        assert batched.backend == "batched[4/4]"
-        assert batched.n_fallbacks == 0
-        assert batched.values == serial.values
+        assert batched.values == oracle_values(scenario, SEED)
 
     def test_fig13_batched_takes_zero_stereo_fallbacks(self):
         scenario = fig13.build_scenario(
@@ -185,15 +184,10 @@ class TestBackendEquivalence:
             distances_ft=(1, 4),
             duration_s=0.2,
         )
-        serial = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="serial"
-        ).run()
         batched = SweepRunner(
             scenario, rng=SEED, cache=AmbientCache(), backend="batched"
         ).run()
-        assert batched.backend == "batched[4/4]"
-        assert batched.n_fallbacks == 0
-        assert batched.values == serial.values
+        assert batched.values == oracle_values(scenario, SEED)
         # The grid must actually exercise the stereo decoder.
         assert any(locked for _, locked in batched.values)
 
@@ -211,8 +205,37 @@ class TestBackendEquivalence:
         result = SweepRunner(
             scenario, rng=SEED, cache=AmbientCache(), backend="batched"
         ).run()
-        assert result.backend == "batched[4/4]"
+        assert result.backend == "batched"
         assert result.n_workers == 1
+        assert result.values == oracle_values(scenario, SEED)
+
+    def test_last_bit_pow_budgets_match_the_oracle(self):
+        # Budgets whose linear SNR differs in the last bit between numpy's
+        # vectorized power and the scalar pow of the point-by-point link:
+        # -40 dBm / 27 ft unfaded and -30 dBm / 12 ft faded used to break
+        # batched-vs-serial identity.
+        payload = tone(1000.0, 0.05, AUDIO_RATE_HZ, amplitude=0.9)
+        for fading, power, distance in (
+            (None, -40.0, 27), (MotionFadingSpec("running"), -30.0, 12)
+        ):
+            base_chain = {"program": "silence", "stereo_decode": False}
+            if fading is not None:
+                base_chain["fading"] = fading
+            scenario = Scenario(
+                name="pow",
+                sweep=SweepSpec.grid(power_dbm=(power, -20.0), distance_ft=(distance, 2)),
+                prepare=lambda gen: {"payload": payload},
+                base_chain=base_chain,
+                chain_axes=("power_dbm", "distance_ft"),
+                payload="payload",
+                measure=_mean_abs,
+            )
+            oracle = oracle_values(scenario, SEED)
+            for backend in ("serial", "batched"):
+                result = SweepRunner(
+                    scenario, rng=SEED, cache=AmbientCache(), backend=backend
+                ).run()
+                assert result.values == oracle, (backend, power, distance)
 
 
 def _mean_abs(run):
@@ -250,6 +273,43 @@ class TestBackendConfiguration:
         )
         with pytest.raises(ConfigurationError, match="declarative"):
             SweepRunner(scenario, backend="process", max_workers=2).run()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_backends_reject_a_live_fading_model(self, backend):
+        # One stateful model shared by every point is one stream consumed
+        # in grid order; pool workers would each draw from their own
+        # copy (process) or race on it (thread).
+        from repro.channel.fading import BodyMotionFading
+
+        payload = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
+        scenario = Scenario(
+            name="live",
+            sweep=SweepSpec.grid(distance_ft=(2, 4, 8)),
+            prepare=lambda gen: {"payload": payload},
+            base_chain={
+                "program": "silence",
+                "stereo_decode": False,
+                "fading": BodyMotionFading("running", rng=7),
+            },
+            chain_axes=("distance_ft",),
+            payload="payload",
+            measure=_mean_abs,
+        )
+        with pytest.raises(ConfigurationError, match="MotionFadingSpec"):
+            SweepRunner(scenario, rng=SEED, backend=backend, max_workers=2).run()
+
+    @pytest.mark.parametrize("backend", ["serial", "batched", "auto"])
+    def test_payload_without_chain_rejected(self, backend):
+        scenario = Scenario(
+            name="no-chain",
+            sweep=SweepSpec.grid(a=(1, 2)),
+            prepare=lambda gen: {"payload": np.zeros(8)},
+            payload="payload",
+            measure=_mean_abs,
+            cache_ambient=False,
+        )
+        with pytest.raises(ConfigurationError, match="payload but no chain"):
+            SweepRunner(scenario, rng=SEED, backend=backend).run()
 
     def test_single_point_grid_reports_serial_execution(self):
         scenario = Scenario(

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.channel.fading import BodyMotionFading
 from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
 from repro.engine.faults import FAULTS_ENV_VAR
@@ -25,6 +26,8 @@ from repro.engine.launcher import (
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
 from repro.utils.env import fast_numerics
+
+from point_oracle import oracle_values, same_bytes
 
 exact_numerics_only = pytest.mark.skipif(
     fast_numerics(),
@@ -78,6 +81,7 @@ class TestLaunchMatchesSerial:
         serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
         report = launch_sweep(rng_scenario(), rng=SEED, n_workers=2, shard_points=2)
         assert report.result.values == serial.values
+        assert report.result.values == oracle_values(rng_scenario(), SEED)
         assert [p.index for p in report.result.points] == list(range(6))
         assert report.n_points == 6
         assert report.n_shards == 3
@@ -98,6 +102,11 @@ class TestLaunchMatchesSerial:
             assert np.array_equal(ours, reference)
         # The parent pre-derived + re-ran prepare, so merged data matches.
         assert np.array_equal(report.result.data["bits"], serial.data["bits"])
+
+    @exact_numerics_only
+    def test_fig09_grid_matches_the_point_oracle(self):
+        report = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=3)
+        assert same_bytes(report.result.values, oracle_values(fig09_scenario(), SEED))
 
     def test_progress_events_cover_the_grid(self):
         events = []
@@ -190,6 +199,16 @@ class TestFailureModes:
         )
         with pytest.raises(ConfigurationError, match="shipped"):
             launch_sweep(closure, rng=SEED)
+
+    def test_live_fading_model_rejected_up_front(self):
+        # Each worker would unpickle its own copy of the shared model and
+        # draw a different envelope stream than a serial run.
+        scenario = fig09_scenario()
+        scenario.base_chain = dict(
+            scenario.base_chain, fading=BodyMotionFading("running", rng=7)
+        )
+        with pytest.raises(ConfigurationError, match="MotionFadingSpec"):
+            launch_sweep(scenario, rng=SEED)
 
     def test_bad_parameters_rejected(self):
         for kwargs in (

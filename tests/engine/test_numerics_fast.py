@@ -186,7 +186,6 @@ class TestPlannerPricesFastMode:
             measure_driven=False,
             cache_warm=True,
             chunk_rows=4,
-            batchable=True,
         )
         constants = CalibrationConstants()
         monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")

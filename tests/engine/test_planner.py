@@ -29,6 +29,7 @@ from repro.engine import (
     load_calibration,
     plan_sweep,
 )
+from repro.engine.batch_backend import partition_points, run_batched_backend
 from repro.engine.planner import (
     CALIBRATION_VERSION,
     DEFAULT_CALIBRATION_PATH,
@@ -40,6 +41,8 @@ from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
 from repro.utils.env import fast_numerics
 from repro.utils.rand import as_generator
+
+from point_oracle import oracle_values
 
 SEED = 2017
 
@@ -132,7 +135,7 @@ class TestCalibrationLoading:
 class TestFeatureExtraction:
     def test_partitions_match_batched_executor_grouping(self):
         # One front-end group, two receiver partitions (phone mono + car
-        # stereo) — the same split the batched executor performs.
+        # stereo) — the executor's own partitions, priced one by one.
         payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
             name="mixed",
@@ -150,10 +153,13 @@ class TestFeatureExtraction:
             measure=_mean_abs,
         )
         data, points = _prepared(scenario)
-        features, splittable = extract_features(
+        features = extract_features(
             scenario, data, points, AmbientCache(), ambient_master=7
         )
-        assert splittable
+        assert [f.positions for f in features] == [
+            tuple(part.positions)
+            for part in partition_points(scenario, data, points, AmbientCache())
+        ]
         assert len(features) == 2
         by_stereo = {f.stereo: f for f in features}
         assert by_stereo[False].n_points == 2  # smartphone half
@@ -161,24 +167,21 @@ class TestFeatureExtraction:
         for f in features:
             # Exact row length: payload upsampled audio->MPX rate (x10).
             assert f.n_samples == payload.size * 10
-            assert f.batchable
             assert not f.cache_warm  # nothing synthesized yet
         covered = sorted(pos for f in features for pos in f.positions)
         assert covered == list(range(len(points)))
 
     def test_cache_warmth_probed_without_synthesis(self):
-        from repro.engine.execution import execute_point
-
         scenario = _tone_scenario()
         data, points = _prepared(scenario)
         cache = AmbientCache()
-        cold, _ = extract_features(scenario, data, points, cache, ambient_master=7)
+        cold = extract_features(scenario, data, points, cache, ambient_master=7)
         assert not cold[0].cache_warm
         assert len(cache) == 0  # probing must not synthesize
         # One executed point fills the partition's shared composite entry
         # (warmth is keyed on the front end + master, not the point).
-        execute_point(scenario, points[0], 123, data, cache, ambient_master=7)
-        warm, _ = extract_features(scenario, data, points, cache, ambient_master=7)
+        run_batched_backend(scenario, data, points[:1], [123], cache, 7, rows=1)
+        warm = extract_features(scenario, data, points, cache, ambient_master=7)
         assert warm[0].cache_warm
 
     def test_measure_driven_grid_is_one_serial_partition(self):
@@ -188,8 +191,7 @@ class TestFeatureExtraction:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        features, splittable = extract_features(scenario, {}, scenario.sweep.points(), None, 0)
-        assert splittable
+        features = extract_features(scenario, {}, scenario.sweep.points(), None, 0)
         assert len(features) == 1
         assert features[0].measure_driven
         costs = estimate(features[0])
@@ -200,7 +202,7 @@ class TestCostModel:
     def test_pools_require_workers_and_picklability(self):
         scenario = _tone_scenario()
         data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, AmbientCache(), 0)
+        features = extract_features(scenario, data, points, AmbientCache(), 0)
         solo = estimate(features[0], max_workers=1, picklable=True)
         assert "thread" not in solo and "process" not in solo
         pooled = estimate(features[0], max_workers=4, picklable=False)
@@ -209,12 +211,14 @@ class TestCostModel:
         assert set(full) == {"serial", "thread", "process", "batched"}
 
     def test_batched_excluded_when_cache_off(self):
+        # Without the shared cached front end every point synthesizes its
+        # own, so each is a partition of one: nothing to stack.
         scenario = _tone_scenario()
         scenario.cache_ambient = False
         data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, None, 0)
-        assert not features[0].batchable
-        assert "batched" not in estimate(features[0])
+        features = extract_features(scenario, data, points, None, 0)
+        assert [f.n_points for f in features] == [1] * len(points)
+        assert all("batched" not in estimate(f) for f in features)
 
 
 POLARIZED = CalibrationConstants(
@@ -314,66 +318,71 @@ class TestPlanExecution:
         assert set(decision.predicted_s) >= {"serial", "batched"}
         assert decision.features["n_samples"] == 24_000
         assert result.backend == "auto[batched:4]"
-        assert result.n_fallbacks == 0
 
     def test_auto_with_cache_off_runs_serial(self):
         scenario = _tone_scenario(n_points=3)
         scenario.cache_ambient = False
         result = SweepRunner(scenario, rng=SEED, backend="auto").run()
-        assert [d.backend for d in result.plan] == ["serial"]
+        # One partition of one per point, each at width 1.
+        assert [d.backend for d in result.plan] == ["serial"] * 3
         serial = SweepRunner(scenario, rng=SEED, backend="serial").run()
         assert result.values == serial.values
 
-    def test_live_fading_model_forces_uniform_backend(self):
+    @pytest.mark.skipif(
+        fast_numerics(),
+        reason="bit-identity with the oracle is an exact-numerics contract",
+    )
+    def test_live_fading_model_never_priced_on_pools(self):
         # A shared stateful fading model consumes its stream in grid
-        # order across points; a heterogeneous split would reorder the
-        # draws. The planner must collapse to one backend even when the
-        # partitions' individual optima differ (short + long rows here).
+        # order across points. The executor draws its envelopes up front
+        # in grid order, so serial and batched partitions may split the
+        # grid freely within its one call — but pool workers would each
+        # own a copy of the model, so pools are never priced.
         from repro.engine import PayloadSelector
 
-        live = BodyMotionFading("running", rng=7)
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
-        scenario = Scenario(
-            name="live",
-            sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2, 4)),
-            prepare=lambda gen: {"short": short, "long": long_},
-            base_chain={
-                "program": "silence",
-                "stereo_decode": False,
-                "fading": live,
-            },
-            chain_axes=("distance_ft",),
-            payload=PayloadSelector("row", {"short": "short", "long": "long"}),
-            measure=_mean_abs,
-        )
-        data, points = _prepared(scenario)
-        features, splittable = extract_features(
-            scenario, data, points, AmbientCache(), 0
-        )
-        assert not splittable
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=3)
-        assert len({d.backend for d in plan.decisions}) == 1
 
-        # The declarative-spec twin of the same grid IS splittable.
-        spec_scenario = Scenario(
-            name="live",
-            sweep=scenario.sweep,
-            prepare=scenario.prepare,
-            base_chain=dict(scenario.base_chain, fading=MotionFadingSpec("running")),
-            chain_axes=("distance_ft",),
-            payload=scenario.payload,
-            measure=_mean_abs,
-        )
-        data, points = _prepared(spec_scenario)
-        _, splittable = extract_features(
-            spec_scenario, data, points, AmbientCache(), 0
-        )
-        assert splittable
+        def build(fading):
+            return Scenario(
+                name="live",
+                sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2, 4)),
+                prepare=lambda gen: {"short": short, "long": long_},
+                base_chain={
+                    "program": "silence",
+                    "stereo_decode": False,
+                    "fading": fading,
+                },
+                chain_axes=("distance_ft",),
+                payload=PayloadSelector("row", {"short": "short", "long": "long"}),
+                measure=_mean_abs,
+            )
+
+        live = build(BodyMotionFading("running", rng=7))
+        data, points = _prepared(live)
         plan = plan_sweep(
-            spec_scenario, data, points, AmbientCache(), ambient_master=3
+            live, data, points, AmbientCache(), ambient_master=3, max_workers=4
         )
         assert {d.backend for d in plan.decisions} == {"batched", "serial"}
+        for decision in plan.decisions:
+            assert set(decision.predicted_s) == {"serial", "batched"}
+        # The split run equals the point-by-point oracle (a fresh model
+        # for each, so both start from the same stream state).
+        result = SweepRunner(
+            build(BodyMotionFading("running", rng=7)), rng=SEED,
+            cache=AmbientCache(), backend="auto", max_workers=4,
+        ).run()
+        assert result.values == oracle_values(
+            build(BodyMotionFading("running", rng=7)), SEED
+        )
+
+        # The declarative-spec twin of the same grid IS priced on pools.
+        spec = build(MotionFadingSpec("running"))
+        data, points = _prepared(spec)
+        plan = plan_sweep(
+            spec, data, points, AmbientCache(), ambient_master=3, max_workers=4
+        )
+        assert all("thread" in d.predicted_s for d in plan.decisions)
 
     def test_single_point_grid_short_circuits_without_plan(self):
         scenario = _tone_scenario(n_points=1)

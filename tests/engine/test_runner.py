@@ -12,7 +12,14 @@ import pytest
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ
 from repro.dsp.spectrum import tone_snr_db
-from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec, default_max_workers
+from repro.engine import (
+    AmbientCache,
+    AxisRef,
+    Scenario,
+    SweepRunner,
+    SweepSpec,
+    default_max_workers,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments.common import ExperimentChain
@@ -39,11 +46,8 @@ def _snr_scenario(payload, cache_ambient):
         name="fig7",
         sweep=SweepSpec.grid(power_dbm=POWERS, distance_ft=DISTANCES),
         base_chain={"program": "silence", "stereo_decode": False},
-        chain_params=lambda p: {
-            "power_dbm": p["power_dbm"],
-            "distance_ft": p["distance_ft"],
-        },
-        rng_keys=lambda p: ("fig7", p["power_dbm"], p["distance_ft"]),
+        chain_axes=("power_dbm", "distance_ft"),
+        rng_keys=("fig7", AxisRef("power_dbm"), AxisRef("distance_ft")),
         measure=measure,
         cache_ambient=cache_ambient,
     )

@@ -136,6 +136,38 @@ class TestBatchedLink:
             )
             assert np.array_equal(stacked[row], serial)
 
+    @exact_numerics_only
+    def test_transmit_batch_matches_serial_link_at_last_bit_pow_budgets(self):
+        # The (power, distance) budgets of the paper's 5 x 40 grid whose
+        # linear SNR differs in the last bit between numpy's vectorized
+        # power and the scalar pow complex_awgn uses; the stacked link
+        # must take the scalar one, with and without fading.
+        from repro.channel.fading import MotionFadingSpec
+        from repro.channel.link import BackscatterLink, resolve_fading
+        from repro.constants import MPX_RATE_HZ
+
+        cells = (
+            (-20.0, 7), (-20.0, 33), (-20.0, 35), (-30.0, 11), (-30.0, 12),
+            (-30.0, 22), (-40.0, 26), (-40.0, 27), (-50.0, 13), (-50.0, 34),
+            (-60.0, 5),
+        )
+        budgets = [_chain(power_dbm=p, distance_ft=d).link_budget() for p, d in cells]
+        iq = np.exp(1j * np.linspace(0.0, 40.0, 2000))
+        seeds = range(len(cells))
+        for fading in (None, MotionFadingSpec("running")):
+            rngs = [np.random.default_rng(s) for s in seeds]
+            envelopes = [
+                None if fading is None
+                else resolve_fading(fading, rng).envelope(iq.size, MPX_RATE_HZ)
+                for rng in rngs
+            ]
+            stacked = transmit_batch(iq, budgets, rngs, envelopes=envelopes)
+            for row, (budget, seed) in enumerate(zip(budgets, seeds)):
+                serial = BackscatterLink(budget, fading=fading).transmit(
+                    iq, MPX_RATE_HZ, rng=np.random.default_rng(seed)
+                )
+                assert np.array_equal(stacked[row], serial), (cells[row], fading)
+
 
 class TestBatchedReceive:
     @exact_numerics_only

@@ -1,13 +1,12 @@
-"""Zero-fallback coverage of the batched backend.
+"""The paper grids through the stacked executor equal the point oracle.
 
-The acceptance bar for the vectorized sweep path: on the paper grids —
+The acceptance bar for the one point executor: on the paper grids —
 Fig. 9 (MRC receptions), Fig. 10/13 (stereo decode), Fig. 12
-(cooperative listening) and the deployment scale-out — running with
-``REPRO_SWEEP_BACKEND=batched`` takes **zero** per-point fallbacks
-(:attr:`~repro.engine.results.SweepResult.n_fallbacks`), and a fading
-grid — the case that used to fall back 100% — is bit-identical across
-all four backends. CI runs this file as a fast, non-timing gate so a
-fallback regression is caught without relying on wall-clock numbers.
+(cooperative listening) and the deployment scale-out — the ``batched``
+backend returns the former point-by-point executor's values
+(:mod:`point_oracle`) byte for byte, and a fading grid matches it on
+every backend. CI runs this file as a fast, non-timing gate under
+``REPRO_SWEEP_BACKEND=batched``.
 """
 
 import numpy as np
@@ -24,6 +23,8 @@ from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig12_pesq_cooperative as fig12
 from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import fast_numerics
+
+from point_oracle import oracle_values, same_bytes
 
 exact_numerics_only = pytest.mark.skipif(
     fast_numerics(),
@@ -48,9 +49,8 @@ def _mean_abs(run):
 def build_fading_scenario(name: str = "fade09") -> Scenario:
     """A Fig. 9-style link-budget grid with body-motion fading.
 
-    Declarative :class:`MotionFadingSpec` fading on every link — the
-    scenario shape that, before the zero-fallback backend, dropped every
-    point to the serial path.
+    Declarative :class:`MotionFadingSpec` fading on every link, drawn per
+    pass from each point's own stream.
     """
     payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
     return Scenario(
@@ -76,51 +76,41 @@ class TestZeroFallbackGrids:
         scenario = fig09.build_scenario(
             FdmFskModem(symbol_rate=200), distances_ft=(4, 8), max_factor=2, n_bits=48
         )
-        serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
-        assert all(
-            np.array_equal(b, s) for b, s in zip(batched.values, serial.values)
-        )
+        assert same_bytes(batched.values, oracle_values(scenario, SEED))
 
+    @exact_numerics_only
     def test_fig10_grid_fully_vectorizes(self):
         scenario = fig10.build_scenario(
             "1.6k", FdmFskModem(symbol_rate=200), distances_ft=(2, 4), n_bits=48
         )
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
+        assert same_bytes(batched.values, oracle_values(scenario, SEED))
 
     def test_fig12_grid_reports_zero_fallbacks(self):
         # Fig. 12 is measure-driven (the two-phone cancellation happens
-        # inside the measure), so the batched backend has no declared
-        # transmission to vectorize — and, by the same token, none of
-        # its points count as fallbacks.
+        # inside the measure), so the executor has no declared
+        # transmission to stack and calls the measure point by point.
         scenario = fig12.build_scenario(
             powers_dbm=(-30.0,), distances_ft=(4, 8), duration_s=0.3
         )
-        serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.values == serial.values
+        assert same_bytes(batched.values, oracle_values(scenario, SEED))
 
+    @exact_numerics_only
     def test_fig13_grid_fully_vectorizes(self):
         scenario = fig13.build_scenario(
             "stereo_station", powers_dbm=(-20.0, -40.0), distances_ft=(1, 4), duration_s=0.2
         )
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
+        assert same_bytes(batched.values, oracle_values(scenario, SEED))
 
     @exact_numerics_only
     def test_deployment_scale_grid_reports_zero_fallbacks(self):
         deployment = deployment_scale.build_deployment(device_counts=(1, 2))
         scenario = deployment.compile()
-        serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.values == serial.values
+        assert same_bytes(batched.values, oracle_values(scenario, SEED))
 
 
 class TestFadingGridAllBackends:
@@ -134,14 +124,17 @@ class TestFadingGridAllBackends:
 
     @exact_numerics_only
     def test_bit_identical_across_all_backends(self, by_backend):
-        serial = by_backend["serial"]
-        for backend in ("thread", "process", "batched", "auto"):
-            assert by_backend[backend].values == serial.values, backend
+        oracle = oracle_values(build_fading_scenario(), SEED)
+        for backend in ("serial", "thread", "process", "batched", "auto"):
+            assert by_backend[backend].values == oracle, backend
 
     def test_batched_takes_zero_fading_fallbacks(self, by_backend):
+        # Every point of the fading grid runs in the stacked executor:
+        # the batched run reports no pool and one label.
         batched = by_backend["batched"]
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[6/6]"
+        assert batched.backend == "batched"
+        assert batched.n_workers == 1
+        assert len(batched.values) == 6
 
     def test_fading_actually_changed_the_link(self, by_backend):
         # Guard against a silently-ignored fading spec: the same grid

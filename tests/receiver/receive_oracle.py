@@ -83,7 +83,7 @@ def transmit_batch(iq: np.ndarray, budgets, rngs, envelopes=None) -> np.ndarray:
             else:
                 np.multiply(clean, np.asarray(env), out=out[row])
         power = np.mean(np.abs(out) ** 2, axis=-1)
-    noise_power = power / (10.0 ** (snr_db / 10.0))
+    noise_power = power / np.array([10.0 ** (float(snr) / 10.0) for snr in snr_db])
     scales = np.sqrt(noise_power / 2.0)
     draws = np.empty((n_rows, 2, iq.size))
     for row, rng in enumerate(rngs):

@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError, SignalError
 from repro.fm.mpx import MpxComponents, compose_mpx
 from repro.fm.modulator import fm_modulate
 from repro.receiver.car import CarReceiver
-from repro.engine.batch_backend import receiver_partition_signature
 from repro.receiver.fm_receiver import FMReceiver, receive_batch
 from repro.receiver.smartphone import SmartphoneReceiver
 
@@ -114,11 +113,11 @@ class TestReceiveStereoBatch:
                 assert np.array_equal(rows[i].right, serial.right), (build, i)
 
     def test_every_receiver_kind_batches(self):
-        # The batched backend partitions on stereo capability alone, and
-        # every receiver kind, de-emphasis included, batches one way or
-        # the other.
+        # decode_rows splits on stereo capability alone, and every
+        # receiver kind, de-emphasis included, batches one way or the
+        # other.
         def stereo_partition(rx):
-            return receiver_partition_signature(rx)[1]
+            return rx.stereo_capable
 
         assert stereo_partition(FMReceiver())
         assert stereo_partition(FMReceiver(apply_deemphasis=True))
