@@ -11,22 +11,40 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-from repro.engine.planner import host_context
+import scipy
 
 ENGINE_ARTIFACT = Path(__file__).with_name("BENCH_engine.json")
+
+ENV_PREFIXES = ("OPENBLAS_", "OMP_", "REPRO_")
+"""Environment knobs that shape timings: BLAS threading and the engine's."""
+
+
+def host_context() -> dict:
+    """Platform, library versions, CPU count and timing-relevant env knobs."""
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "env": {k: v for k, v in sorted(os.environ.items()) if k.startswith(ENV_PREFIXES)},
+    }
 
 
 def merge_artifact(artifact: Path, section: str, payload: dict) -> dict:
     """Update one section of a benchmark artifact, keeping the rest.
 
     Every section is stamped with the measuring host's context (CPU
-    count, numpy version, platform) so recorded crossovers and speedups
-    stay interpretable across machines. The write is atomic (temp file +
+    count, numpy/scipy versions, platform, ``REPRO_``/``OPENBLAS_``/
+    ``OMP_`` environment) so recorded speedups stay interpretable across
+    machines and settings. The write is atomic (temp file +
     rename in the artifact's directory): a crash or a concurrent reader
     mid-write can never leave a truncated JSON behind.
     """

@@ -29,7 +29,7 @@ Three measurements, all written to ``benchmarks/BENCH_engine.json``:
    the long-row Fig. 8 grid (where batched measurably loses) and the
    short-row fading grid (where batched measurably wins). The planner
    must land within a small factor of the best hand-picked backend on
-   both — the measurement that a wrong calibration can't hide behind.
+   both — the measurement that a wrong width rule can't hide behind.
 """
 
 from __future__ import annotations
@@ -448,7 +448,12 @@ def test_auto_backend(no_persistent_cache, bench_artifact):
             "auto_vs_best": round(ratio, 3),
             "auto_label": auto.backend,
             "plan": [
-                {"partition": d.partition, "backend": d.backend, "rows": len(d.point_indices)}
+                {
+                    "partition": d.partition,
+                    "backend": d.backend,
+                    "points": len(d.point_indices),
+                    "chunk_rows": d.chunk_rows,
+                }
                 for d in auto.plan
             ],
         }

@@ -10,9 +10,10 @@ boundary; a :class:`SweepRunner` executes it through one point executor
 that stacks points sharing a front end into ``(rows, samples)`` passes.
 The backends (``serial`` / ``thread`` / ``process`` / ``batched``, see
 ``REPRO_SWEEP_BACKEND``) differ in the row width they ask for and in who
-calls the executor; ``auto``, the single-worker default, lets the
-cost-model planner pick a width or a pool per partition (decisions are
-recorded on ``SweepResult.plan``). A keyed :class:`AmbientCache` means
+calls the executor; ``auto``, the single-worker default, stacks stereo
+partitions and partitions whose memory-capped pass holds at least 8
+rows, and runs the rest at width 1 (decisions are recorded on
+``SweepResult.plan``). A keyed :class:`AmbientCache` means
 each ambient program is synthesized and FM-modulated exactly once per
 sweep instead of once per grid point — and at most once *ever* per
 configuration when ``REPRO_CACHE_DIR`` points the cache at a persistent
@@ -78,14 +79,7 @@ from repro.engine.deployment import (
     ReceiverPlacement,
     make_roster,
 )
-from repro.engine.planner import (
-    CalibrationConstants,
-    PartitionFeatures,
-    PlanDecision,
-    calibrate,
-    load_calibration,
-    plan_sweep,
-)
+from repro.engine.planner import PlanDecision, plan_sweep
 from repro.engine.results import SweepResult, format_axis_value, power_key
 from repro.engine.runner import (
     AUTO_BACKEND,
@@ -116,7 +110,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "CachedAmbient",
     "CacheStore",
-    "CalibrationConstants",
     "ChannelAssignment",
     "ChannelPlan",
     "DeploymentScenario",
@@ -128,7 +121,6 @@ __all__ = [
     "JobStatus",
     "JournaledJob",
     "LaunchReport",
-    "PartitionFeatures",
     "PayloadSelector",
     "PlanDecision",
     "PointRun",
@@ -141,13 +133,11 @@ __all__ = [
     "SweepService",
     "SweepSpec",
     "active_plan",
-    "calibrate",
     "default_backend",
     "default_cache",
     "default_max_workers",
     "format_axis_value",
     "launch_sweep",
-    "load_calibration",
     "make_roster",
     "parse_faults",
     "payload_fingerprint",

@@ -3,9 +3,9 @@
 Every backend runs grid points through :func:`run_batched_backend`; they
 differ only in the row width they ask for and in who calls it:
 ``serial`` is width 1, ``batched`` the memory-capped width of
-:func:`chunk_limit`, ``auto`` the width the planner chose per partition,
-and the thread pool, the process-pool workers and the launcher's shard
-workers run their points at width 1.
+:func:`chunk_limit`, ``auto`` the width of the planner's rule per
+partition, and the thread pool, the process-pool workers and the
+launcher's shard workers run their points at width 1.
 
 The paper's link-budget grids share one front end: a P×D sweep reuses the
 same cached composite envelope at every point, and only the link (SNR,
@@ -84,7 +84,8 @@ Rows = Union[None, int, Mapping[int, int]]
 """Row width of :func:`run_batched_backend`: ``None`` for the memory-capped
 :func:`chunk_limit` width, an int for one width everywhere, or a mapping
 from :attr:`GridPoint.index` to width (a partition takes its first
-member's entry) — how ``auto`` hands each partition the planner's width."""
+member's entry) — how ``auto`` hands each partition the width the
+planner's rule gave it."""
 
 
 def batch_memory_budget_mb() -> float:
@@ -101,9 +102,9 @@ def chunk_limit(n_samples: int, budget_mb: Optional[float] = None) -> int:
     decode stages receive it as their ``max_fft_rows`` — not the small
     per-row state that persists across passes (decimated pilot bands,
     audio-rate rows), which is what lets the stereo PLL span a whole
-    partition regardless of this limit. The planner calls this with the
-    same row length it predicts costs for, and ``auto`` passes each
-    batched decision's rows to the executor, so a recorded
+    partition regardless of this limit. The planner's width rule reads
+    it for each partition's row length, and ``auto`` passes each
+    decision's width to the executor, so a recorded
     :class:`~repro.engine.planner.PlanDecision` names the exact width
     its partition ran at.
     """
@@ -138,9 +139,9 @@ def composite_entry(
     """The point's (ambient view, front end, composite cache key) triple.
 
     One place derives the deterministic key a point's front-end composite
-    lives under, so the process backend's store warm-up and the planner's
-    cache-warmth probes can never disagree about which entry a point will
-    request. Builds only cheap value objects — no synthesis happens here.
+    lives under, so the process backend's store warm-up requests exactly
+    the entry its workers will. Builds only cheap value objects — no
+    synthesis happens here.
     """
     from repro.experiments.common import ExperimentChain
 
@@ -188,8 +189,9 @@ def partition_points(
     ambient variant, payload) and receive stage; with ambient caching off
     every point synthesizes its own front end and is a partition of one.
     A measure-driven scenario is one partition whose points are measured
-    one by one. The planner prices exactly these partitions. Cheap:
-    builds chain value objects, never a waveform or a random stream.
+    one by one. The planner's width rule decides per partition of this
+    list. Cheap: builds chain value objects, never a waveform or a
+    random stream.
     """
     from repro.experiments.common import ExperimentChain
 

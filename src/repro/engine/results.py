@@ -84,9 +84,9 @@ class SweepResult:
         backend: which execution backend ran the grid (``"serial"``,
             ``"batched"``, ``"auto[batched:4+serial:4]"``, ...).
         plan: the planner's per-partition decisions
-            (:class:`~repro.engine.planner.PlanDecision` records — chosen
-            backend, chunk budget, predicted costs, feature vector) when
-            the ``auto`` backend ran, else ``None``. Decisions carry
+            (:class:`~repro.engine.planner.PlanDecision` records —
+            partition, member indices, ``serial`` or ``batched`` and the
+            row width) when the ``auto`` backend ran, else ``None``. Decisions carry
             *global* grid indices, so :meth:`merge` concatenates shard
             plans (grid order) whenever every shard has one — shards may
             have chosen different backends — and drops the plan when any

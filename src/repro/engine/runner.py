@@ -28,16 +28,15 @@
      over the picklable point specs, each point at width 1, for
      GIL-bound measures; requires the scenario's declarative form. The
      parent warms a shared disk store so workers skip ambient synthesis.
-   - ``auto`` — the planner (:mod:`repro.engine.planner`) prices each of
-     the executor's partitions with a calibrated cost model and picks
-     its width (1 for long rows, the memory-capped width for short ones)
-     or a pool, then runs every stacked partition in one executor call,
-     recording each decision on
-     :attr:`~repro.engine.results.SweepResult.plan`.
+   - ``auto`` — one executor call in which each partition gets the
+     width of the planner's rule (:mod:`repro.engine.planner`): stereo
+     partitions and partitions whose memory-capped pass holds at least
+     8 rows run stacked, the rest at width 1. Each decision is recorded
+     on :attr:`~repro.engine.results.SweepResult.plan`.
 
    The pool backends refuse a grid sharing a live fading model (see
-   :meth:`~repro.engine.scenario.Scenario.require_pool_safe`), and
-   ``auto`` never prices pools for one.
+   :meth:`~repro.engine.scenario.Scenario.require_pool_safe`); ``auto``
+   never runs a pool.
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
 environment variable (strictly parsed — a typo raises
@@ -65,6 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.batch_backend import Rows, run_batched_backend
 from repro.engine.cache import AmbientCache, default_cache, stats_delta
+from repro.engine.planner import plan_sweep
 from repro.engine.results import SweepResult
 from repro.engine.scenario import GridPoint, Scenario
 from repro.errors import ConfigurationError
@@ -81,7 +81,7 @@ BACKENDS = ("serial", "thread", "process", "batched")
 """The explicit executors."""
 
 AUTO_BACKEND = "auto"
-"""Cost-model planned execution (see :mod:`repro.engine.planner`)."""
+"""Width chosen per partition by a rule (see :mod:`repro.engine.planner`)."""
 
 BACKEND_CHOICES = BACKENDS + (AUTO_BACKEND,)
 """Everything ``backend=`` / ``REPRO_SWEEP_BACKEND`` accepts."""
@@ -158,7 +158,8 @@ class SweepRunner:
             ``REPRO_SWEEP_BACKEND`` and finally falls back to ``thread``
             when ``max_workers > 1`` (honoring an explicit
             ``REPRO_SWEEP_WORKERS``) else ``auto`` — the planner picks
-            per partition, and its decisions land on ``result.plan``.
+            a width per partition, and its decisions land on
+            ``result.plan``.
     """
 
     def __init__(
@@ -248,51 +249,27 @@ class SweepRunner:
         plan = None
         rows: Rows = 1
         start = time.perf_counter()
-        # executor -> positions it runs: "stacked" is one executor call at
-        # width `rows`, "thread"/"process" a pool at width 1.
-        everything = list(range(len(points)))
-        if self.backend == "serial" or len(points) <= 1:
-            # Pools and stacking buy nothing on a <=1-point grid; the
-            # label records what actually executed.
-            backend_label = "serial"
-            groups = {"stacked": everything}
-        elif self.backend == "batched":
-            rows = None
-            groups = {"stacked": everything}
-        elif self.backend == AUTO_BACKEND:
-            from repro.engine.planner import plan_sweep
-
-            sweep_plan = plan_sweep(
-                scenario, data, points, cache, ambient_master,
-                max_workers=self._pool_workers(),
+        if self.backend in ("thread", "process") and len(points) > 1:
+            n_workers = self._pool_workers()
+            values = _run_pool(
+                self.backend, scenario, data, points, seeds, cache,
+                ambient_master, n_workers,
             )
-            plan, backend_label = sweep_plan.decisions, sweep_plan.label
-            rows = {i: d.chunk_rows for d in plan for i in d.point_indices}
-            groups = {}
-            for backend, positions in sweep_plan.by_backend.items():
-                pooled = backend in ("thread", "process")
-                groups.setdefault(backend if pooled else "stacked", []).extend(positions)
         else:
-            groups = {self.backend: everything}
-
-        values: List[object] = [None] * len(points)
-        for executor, positions in groups.items():
-            positions.sort()  # grid order, which a live fading model needs
-            sub_points = [points[p] for p in positions]
-            sub_seeds = [seeds[p] for p in positions]
-            if executor == "stacked":
-                sub_values = run_batched_backend(
-                    scenario, data, sub_points, sub_seeds, cache, ambient_master,
-                    rows=rows,
-                )
+            if self.backend == "serial" or len(points) <= 1:
+                # Pools and stacking buy nothing on a <=1-point grid;
+                # the label records what actually executed.
+                backend_label = "serial"
+            elif self.backend == "batched":
+                rows = None
             else:
-                n_workers = self._pool_workers()
-                sub_values = _run_pool(
-                    executor, scenario, data, sub_points, sub_seeds, cache,
-                    ambient_master, n_workers,
+                sweep_plan = plan_sweep(scenario, data, points, cache)
+                plan, backend_label, rows = (
+                    sweep_plan.decisions, sweep_plan.label, sweep_plan.rows
                 )
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
+            values = run_batched_backend(
+                scenario, data, points, seeds, cache, ambient_master, rows=rows
+            )
         elapsed = time.perf_counter() - start
 
         cache_stats = None

@@ -282,9 +282,8 @@ class Scenario:
         Measure-driven points (Fig. 12's two-phone cancellation, the
         deployment layer's MAC-gated frames, the survey figures) execute
         per point by construction: there is no runner-performed
-        transmission to stack, ship or predict, so the executor calls
-        the measure point by point and the planner prices them serial
-        only.
+        transmission to stack or ship, so the executor calls the
+        measure point by point and the planner runs them at width 1.
         """
         return self.payload is None or not self.uses_chain
 

@@ -1,16 +1,12 @@
-"""Cost-model planner: features, calibration, decisions, auto execution.
+"""The ``auto`` width rule: decisions, paper grids, auto execution.
 
 The non-timing acceptance gates for ``REPRO_SWEEP_BACKEND=auto`` live
-here: under the *shipped* calibration the planner must route the
-known-regressing long-row Fig. 8 grid away from the batched executor and
-the short-row fading grid onto it — pure cost-model arithmetic over the
-committed ``calibration.json``, so CI checks the crossover without
-trusting wall clocks. Decision tests that need a *specific* crossover
-pin their own constants through ``REPRO_PLANNER_CALIBRATION``.
+here: the width rule must run the long-row Fig. 8 grid at width 1 and
+stack the short-row fading grid, and it must give every paper grid the
+decision the measurements behind :data:`MIN_STACK_ROWS` support — pure
+arithmetic on row lengths and the memory cap, so CI checks it without
+trusting wall clocks.
 """
-
-import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -19,32 +15,35 @@ from repro.audio.tones import tone
 from repro.channel.fading import BodyMotionFading, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.data.bits import random_bits
+from repro.data.fdm import FdmFskModem
 from repro.engine import (
     AmbientCache,
     AxisRef,
-    CalibrationConstants,
+    PayloadSelector,
     Scenario,
     SweepRunner,
     SweepSpec,
-    load_calibration,
     plan_sweep,
 )
-from repro.engine.batch_backend import partition_points, run_batched_backend
-from repro.engine.planner import (
-    CALIBRATION_VERSION,
-    DEFAULT_CALIBRATION_PATH,
-    estimate,
-    extract_features,
-)
-from repro.errors import ConfigurationError
+from repro.engine.batch_backend import BATCH_MEMORY_ENV_VAR, partition_points
+from repro.engine.planner import MIN_STACK_ROWS
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
+from repro.experiments import fig10_stereo_ber as fig10
+from repro.experiments import fig12_pesq_cooperative as fig12
+from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import fast_numerics
 from repro.utils.rand import as_generator
 
 from point_oracle import oracle_values
 
 SEED = 2017
+
+
+@pytest.fixture(autouse=True)
+def default_memory_cap(monkeypatch):
+    """Decide every width under the default ``REPRO_BATCH_MAX_MB`` cap."""
+    monkeypatch.delenv(BATCH_MEMORY_ENV_VAR, raising=False)
 
 
 def _mean_abs(run):
@@ -56,6 +55,11 @@ def _prepared(scenario):
     gen = as_generator(SEED)
     data = scenario.prepare(gen) if scenario.prepare is not None else {}
     return data, scenario.sweep.points()
+
+
+def _plan(scenario, cache=None):
+    data, points = _prepared(scenario)
+    return plan_sweep(scenario, data, points, AmbientCache() if cache is None else cache)
 
 
 def _tone_scenario(duration_s=0.05, n_points=4, **base_extra):
@@ -73,69 +77,28 @@ def _tone_scenario(duration_s=0.05, n_points=4, **base_extra):
     )
 
 
-class TestCalibrationLoading:
-    def test_shipped_calibration_loads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER_CALIBRATION", raising=False)
-        assert DEFAULT_CALIBRATION_PATH.exists()
-        constants = load_calibration()
-        for name, value in dataclasses.asdict(constants).items():
-            assert value > 0, name
-        # The shipped constants must encode the measured crossover: the
-        # vectorized path wins at the short-row anchor and loses (or at
-        # best ties) serial at the long-row anchor.
-        assert constants.vector_sample_short_ns < constants.serial_sample_ns
-        assert constants.vector_sample_long_ns >= constants.vector_sample_short_ns
-
-    def test_env_override_used(self, tmp_path, monkeypatch):
-        constants = CalibrationConstants(serial_sample_ns=123.25)
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(constants.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        assert load_calibration().serial_sample_ns == 123.25
-
-    def test_version_skew_rejected(self, tmp_path, monkeypatch):
-        payload = CalibrationConstants().to_payload()
-        payload["version"] = CALIBRATION_VERSION + 1
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="version"):
-            load_calibration()
-
-    def test_unknown_constant_rejected(self, tmp_path, monkeypatch):
-        payload = CalibrationConstants().to_payload()
-        payload["constants"]["warp_factor"] = 9.0
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="warp_factor"):
-            load_calibration()
-
-    def test_malformed_json_rejected(self, tmp_path, monkeypatch):
-        path = tmp_path / "cal.json"
-        path.write_text("{not json")
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            load_calibration()
-
-    def test_interpolation_clamps_at_anchors(self):
-        c = CalibrationConstants(
-            vector_sample_short_ns=50.0,
-            vector_sample_long_ns=200.0,
-            short_row_samples=10_000,
-            long_row_samples=100_000,
-        )
-        assert c.vector_sample_ns(1_000) == 50.0
-        assert c.vector_sample_ns(10_000) == 50.0
-        assert c.vector_sample_ns(1_000_000) == 200.0
-        mid = c.vector_sample_ns(31_623)  # ~log-midpoint
-        assert 50.0 < mid < 200.0
+def _two_row_scenario(fading=None):
+    """One grid, two payload lengths: 0.02 s rows (9,600 MPX samples)
+    stack, 0.5 s rows (240,000 samples, 5 to a pass) run at width 1."""
+    short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
+    long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
+    return Scenario(
+        name="rows",
+        sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2, 4)),
+        prepare=lambda gen: {"short": short, "long": long_},
+        base_chain={"program": "silence", "stereo_decode": False, "fading": fading},
+        chain_axes=("distance_ft",),
+        payload=PayloadSelector("row", {"short": "short", "long": "long"}),
+        measure=_mean_abs,
+    )
 
 
 class TestFeatureExtraction:
+    """What the plan reads off each of the executor's partitions."""
+
     def test_partitions_match_batched_executor_grouping(self):
         # One front-end group, two receiver partitions (phone mono + car
-        # stereo) — the executor's own partitions, priced one by one.
+        # stereo) — the executor's own partitions, decided one by one.
         payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
             name="mixed",
@@ -153,36 +116,25 @@ class TestFeatureExtraction:
             measure=_mean_abs,
         )
         data, points = _prepared(scenario)
-        features = extract_features(
-            scenario, data, points, AmbientCache(), ambient_master=7
-        )
-        assert [f.positions for f in features] == [
-            tuple(part.positions)
+        plan = plan_sweep(scenario, data, points, AmbientCache())
+        assert [d.point_indices for d in plan.decisions] == [
+            tuple(points[pos].index for pos in part.positions)
             for part in partition_points(scenario, data, points, AmbientCache())
         ]
-        assert len(features) == 2
-        by_stereo = {f.stereo: f for f in features}
-        assert by_stereo[False].n_points == 2  # smartphone half
-        assert by_stereo[True].n_points == 2  # car radio always stereo
-        for f in features:
-            # Exact row length: payload upsampled audio->MPX rate (x10).
-            assert f.n_samples == payload.size * 10
-            assert not f.cache_warm  # nothing synthesized yet
-        covered = sorted(pos for f in features for pos in f.positions)
+        # Exact row length: payload upsampled audio->MPX rate (x10).
+        assert [d.partition for d in plan.decisions] == [
+            f"smartphone/mono@{payload.size * 10}",
+            f"car/stereo@{payload.size * 10}",
+        ]
+        covered = sorted(i for d in plan.decisions for i in d.point_indices)
         assert covered == list(range(len(points)))
 
-    def test_cache_warmth_probed_without_synthesis(self):
+    def test_planning_never_synthesizes(self):
         scenario = _tone_scenario()
-        data, points = _prepared(scenario)
         cache = AmbientCache()
-        cold = extract_features(scenario, data, points, cache, ambient_master=7)
-        assert not cold[0].cache_warm
-        assert len(cache) == 0  # probing must not synthesize
-        # One executed point fills the partition's shared composite entry
-        # (warmth is keyed on the front end + master, not the point).
-        run_batched_backend(scenario, data, points[:1], [123], cache, 7, rows=1)
-        warm = extract_features(scenario, data, points, cache, ambient_master=7)
-        assert warm[0].cache_warm
+        _plan(scenario, cache)
+        assert len(cache) == 0
+        assert cache.stats["misses"] == 0
 
     def test_measure_driven_grid_is_one_serial_partition(self):
         scenario = Scenario(
@@ -191,24 +143,40 @@ class TestFeatureExtraction:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        features = extract_features(scenario, {}, scenario.sweep.points(), None, 0)
-        assert len(features) == 1
-        assert features[0].measure_driven
-        costs = estimate(features[0])
-        assert list(costs) == ["serial"]
+        plan = plan_sweep(scenario, {}, scenario.sweep.points(), None)
+        assert len(plan.decisions) == 1
+        decision = plan.decisions[0]
+        assert decision.partition == "measure-driven"
+        assert (decision.backend, decision.chunk_rows) == ("serial", 1)
+        assert plan.label == "auto[serial:3]"
 
 
-class TestCostModel:
-    def test_pools_require_workers_and_picklability(self):
-        scenario = _tone_scenario()
-        data, points = _prepared(scenario)
-        features = extract_features(scenario, data, points, AmbientCache(), 0)
-        solo = estimate(features[0], max_workers=1, picklable=True)
-        assert "thread" not in solo and "process" not in solo
-        pooled = estimate(features[0], max_workers=4, picklable=False)
-        assert "thread" in pooled and "process" not in pooled
-        full = estimate(features[0], max_workers=4, picklable=True)
-        assert set(full) == {"serial", "thread", "process", "batched"}
+class TestWidthRule:
+    # 166,666 MPX samples is the longest row of which the default 64 MB
+    # cap fits MIN_STACK_ROWS to a pass: 16,666 audio samples.
+    LONGEST_STACKED_S = 16_666 / AUDIO_RATE_HZ
+
+    def test_threshold_sits_at_min_stack_rows(self):
+        stacked = _plan(_tone_scenario(self.LONGEST_STACKED_S, n_points=10))
+        assert [(d.backend, d.chunk_rows) for d in stacked.decisions] == [
+            ("batched", MIN_STACK_ROWS)
+        ]
+        one_more = (16_666 + 1) / AUDIO_RATE_HZ
+        serial = _plan(_tone_scenario(one_more, n_points=10))
+        assert [(d.backend, d.chunk_rows) for d in serial.decisions] == [("serial", 1)]
+
+    def test_memory_cap_moves_the_threshold(self, monkeypatch):
+        scenario = _tone_scenario(0.05, n_points=4)  # 24,000-sample rows
+        assert _plan(scenario).decisions[0].backend == "batched"
+        monkeypatch.setenv(BATCH_MEMORY_ENV_VAR, "5")  # 4 rows to a pass
+        assert _plan(scenario).decisions[0].backend == "serial"
+
+    def test_stereo_stacks_at_any_width(self):
+        # 0.5 s rows fit 5 to a pass: too few for mono, enough for stereo.
+        mono = _plan(_tone_scenario(0.5, n_points=6))
+        assert [(d.backend, d.chunk_rows) for d in mono.decisions] == [("serial", 1)]
+        stereo = _plan(_tone_scenario(0.5, n_points=6, stereo_decode=True))
+        assert [(d.backend, d.chunk_rows) for d in stereo.decisions] == [("batched", 5)]
 
     def test_batched_excluded_when_cache_off(self):
         # Without the shared cached front end every point synthesizes its
@@ -216,42 +184,44 @@ class TestCostModel:
         scenario = _tone_scenario()
         scenario.cache_ambient = False
         data, points = _prepared(scenario)
-        features = extract_features(scenario, data, points, None, 0)
-        assert [f.n_points for f in features] == [1] * len(points)
-        assert all("batched" not in estimate(f) for f in features)
+        plan = plan_sweep(scenario, data, points, None)
+        assert [len(d.point_indices) for d in plan.decisions] == [1] * len(points)
+        assert {d.backend for d in plan.decisions} == {"serial"}
 
 
-POLARIZED = CalibrationConstants(
-    point_overhead_s=1e-4,
-    serial_sample_ns=100.0,
-    vector_sample_short_ns=20.0,
-    vector_sample_long_ns=400.0,
-    short_row_samples=30_000,
-    long_row_samples=200_000,
-)
-"""Constants with an unambiguous crossover, for decision tests that must
-not depend on the shipped (host-measured) numbers."""
+class TestPaperGridDecisions:
+    """The decisions ``auto`` gives the paper's own grids."""
+
+    def test_fig09_runs_at_width_1(self):
+        plan = _plan(fig09.build_scenario(FdmFskModem(symbol_rate=200)))
+        assert len(plan.decisions) == 4
+        assert {d.backend for d in plan.decisions} == {"serial"}
+
+    def test_fig10_stacks_stereo_only(self):
+        plan = _plan(fig10.build_scenario("1.6k", FdmFskModem(symbol_rate=200)))
+        assert {d.partition.split("@")[0]: d.backend for d in plan.decisions} == {
+            "smartphone/mono": "serial",
+            "smartphone/stereo": "batched",
+        }
+
+    def test_fig13_stacks(self):
+        plan = _plan(fig13.build_scenario())
+        assert [d.backend for d in plan.decisions] == ["batched"]
+
+    def test_fig12_is_measure_driven_and_serial(self):
+        plan = _plan(fig12.build_scenario())
+        assert [(d.partition, d.backend) for d in plan.decisions] == [
+            ("measure-driven", "serial")
+        ]
 
 
 class TestDecisionGates:
     """The crossover gates CI runs without trusting wall clocks."""
 
-    @pytest.fixture(autouse=True)
-    def default_calibration(self, monkeypatch):
-        # "Under default calibration" is the contract being tested.
-        monkeypatch.delenv("REPRO_PLANNER_CALIBRATION", raising=False)
-
-    @pytest.mark.skipif(
-        fast_numerics(),
-        reason="fast_vector_factor intentionally moves the serial/batched "
-        "crossover under REPRO_NUMERICS=fast; this gate encodes exact-mode "
-        "pricing",
-    )
     def test_never_batched_on_fig08_long_row_grid(self):
-        # The grid the backend-matrix benchmark measures regressing ~2x
-        # under batched: 100 bps payload -> 0.4 s waveform -> 192k-sample
-        # rows that starve the chunker. The planner must never send it
-        # to the batched executor.
+        # The bench Fig. 8 grid: 100 bps payload -> 0.4 s waveform ->
+        # 192k-sample rows, 6 to a pass. Stacked it saves ~3% of the time
+        # for ~30% more memory, so the rule runs it at width 1.
         modem = fig08.make_modem("100bps")
 
         def prepare(gen):
@@ -274,14 +244,11 @@ class TestDecisionGates:
             measure=fig08.score_ber,
             measure_params={"modem": modem},
         )
-        data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=1)
+        plan = _plan(scenario)
         assert plan.decisions, "a decision per partition is required"
         assert all(d.backend != "batched" for d in plan.decisions)
 
     def test_batched_on_fading_short_row_grid(self):
-        from repro.data.fdm import FdmFskModem
-
         scenario = fig09.build_scenario(
             FdmFskModem(symbol_rate=200),
             distances_ft=(1, 2, 3, 4, 6, 8, 12, 16),
@@ -292,19 +259,13 @@ class TestDecisionGates:
             scenario.base_chain, fading=MotionFadingSpec("running")
         )
         data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=1)
+        plan = plan_sweep(scenario, data, points, AmbientCache())
         assert all(d.backend == "batched" for d in plan.decisions)
         covered = sorted(i for d in plan.decisions for i in d.point_indices)
         assert covered == list(range(len(points)))
 
 
 class TestPlanExecution:
-    @pytest.fixture(autouse=True)
-    def polarized_calibration(self, tmp_path, monkeypatch):
-        path = tmp_path / "calibration.json"
-        path.write_text(json.dumps(POLARIZED.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-
     def test_auto_records_decision_per_partition(self):
         scenario = _tone_scenario(duration_s=0.05, n_points=4)
         result = SweepRunner(
@@ -312,11 +273,10 @@ class TestPlanExecution:
         ).run()
         assert result.plan is not None and len(result.plan) == 1
         decision = result.plan[0]
-        assert decision.backend == "batched"  # short rows, polarized cal
+        assert decision.backend == "batched"  # 24,000-sample rows
         assert decision.point_indices == (0, 1, 2, 3)
-        assert decision.chunk_rows >= 1
-        assert set(decision.predicted_s) >= {"serial", "batched"}
-        assert decision.features["n_samples"] == 24_000
+        assert decision.chunk_rows == 4
+        assert decision.partition == "smartphone/mono@24000"
         assert result.backend == "auto[batched:4]"
 
     def test_auto_with_cache_off_runs_serial(self):
@@ -328,6 +288,14 @@ class TestPlanExecution:
         serial = SweepRunner(scenario, rng=SEED, backend="serial").run()
         assert result.values == serial.values
 
+    def test_auto_never_runs_a_pool(self):
+        result = SweepRunner(
+            _two_row_scenario(MotionFadingSpec("running")), rng=SEED,
+            cache=AmbientCache(), backend="auto", max_workers=4,
+        ).run()
+        assert result.n_workers == 1
+        assert {d.backend for d in result.plan} == {"batched", "serial"}
+
     @pytest.mark.skipif(
         fast_numerics(),
         reason="bit-identity with the oracle is an exact-numerics contract",
@@ -336,53 +304,21 @@ class TestPlanExecution:
         # A shared stateful fading model consumes its stream in grid
         # order across points. The executor draws its envelopes up front
         # in grid order, so serial and batched partitions may split the
-        # grid freely within its one call — but pool workers would each
-        # own a copy of the model, so pools are never priced.
-        from repro.engine import PayloadSelector
-
-        short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
-        long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
-
-        def build(fading):
-            return Scenario(
-                name="live",
-                sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2, 4)),
-                prepare=lambda gen: {"short": short, "long": long_},
-                base_chain={
-                    "program": "silence",
-                    "stereo_decode": False,
-                    "fading": fading,
-                },
-                chain_axes=("distance_ft",),
-                payload=PayloadSelector("row", {"short": "short", "long": "long"}),
-                measure=_mean_abs,
-            )
-
-        live = build(BodyMotionFading("running", rng=7))
-        data, points = _prepared(live)
-        plan = plan_sweep(
-            live, data, points, AmbientCache(), ambient_master=3, max_workers=4
-        )
+        # grid freely within its one call — and auto never hands the
+        # grid to a pool, whose workers would each own a copy.
+        live = _two_row_scenario(BodyMotionFading("running", rng=7))
+        plan = _plan(live)
         assert {d.backend for d in plan.decisions} == {"batched", "serial"}
-        for decision in plan.decisions:
-            assert set(decision.predicted_s) == {"serial", "batched"}
         # The split run equals the point-by-point oracle (a fresh model
         # for each, so both start from the same stream state).
         result = SweepRunner(
-            build(BodyMotionFading("running", rng=7)), rng=SEED,
+            _two_row_scenario(BodyMotionFading("running", rng=7)), rng=SEED,
             cache=AmbientCache(), backend="auto", max_workers=4,
         ).run()
+        assert result.n_workers == 1
         assert result.values == oracle_values(
-            build(BodyMotionFading("running", rng=7)), SEED
+            _two_row_scenario(BodyMotionFading("running", rng=7)), SEED
         )
-
-        # The declarative-spec twin of the same grid IS priced on pools.
-        spec = build(MotionFadingSpec("running"))
-        data, points = _prepared(spec)
-        plan = plan_sweep(
-            spec, data, points, AmbientCache(), ambient_master=3, max_workers=4
-        )
-        assert all("thread" in d.predicted_s for d in plan.decisions)
 
     def test_single_point_grid_short_circuits_without_plan(self):
         scenario = _tone_scenario(n_points=1)

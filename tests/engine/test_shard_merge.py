@@ -6,21 +6,19 @@ shards run anywhere (any backend, any machine sharing the cache dir) and
 merge back into a result bit-identical to the whole-grid run.
 """
 
-import json
-
 import pytest
 
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import (
     AmbientCache,
-    CalibrationConstants,
     PayloadSelector,
     Scenario,
     SweepResult,
     SweepRunner,
     SweepSpec,
 )
+from repro.engine.batch_backend import BATCH_MEMORY_ENV_VAR
 from repro.errors import ConfigurationError
 from repro.utils.env import fast_numerics
 
@@ -231,28 +229,17 @@ class TestPlanMerge:
     """``SweepResult.plan`` propagation across shards under ``auto``."""
 
     @pytest.fixture(autouse=True)
-    def polarized_calibration(self, tmp_path, monkeypatch):
-        """Pin a calibration whose serial/batched crossover is unambiguous,
-        so the decisions asserted below never depend on the shipped
-        (host-measured) constants: short rows must go batched, long rows
-        must not."""
-        constants = CalibrationConstants(
-            point_overhead_s=1e-4,
-            serial_sample_ns=100.0,
-            vector_sample_short_ns=20.0,
-            vector_sample_long_ns=400.0,
-            short_row_samples=30_000,
-            long_row_samples=200_000,
-        )
-        path = tmp_path / "calibration.json"
-        path.write_text(json.dumps(constants.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
+    def default_memory_cap(self, monkeypatch):
+        """Decide widths under the default ``REPRO_BATCH_MAX_MB`` cap, which
+        fits the short rows many to a pass and the long rows 5 to a pass:
+        short rows must go batched, long rows must not."""
+        monkeypatch.delenv(BATCH_MEMORY_ENV_VAR, raising=False)
 
     def _two_row_scenario(self) -> Scenario:
         # One grid, two payload lengths via PayloadSelector: the short
-        # half lands in the planner's batched regime, the long half in
-        # its serial regime — a single sweep whose partitions (and hence
-        # shards) execute under different chosen backends.
+        # half (9,600-sample rows) stacks, the long half (240,000-sample
+        # rows) runs at width 1 — a single sweep whose partitions (and
+        # hence shards) execute under different chosen backends.
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
         return Scenario(
